@@ -30,7 +30,8 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-cmake -B "$BUILD_DIR" -S .
+# The main build is warning-free under -Wall -Wextra; -Werror keeps it so.
+cmake -B "$BUILD_DIR" -S . -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error -j "$JOBS"
 

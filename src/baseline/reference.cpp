@@ -70,14 +70,25 @@ void fft_bit_reverse(std::vector<cd>& a) {
 
 void fft_stage_blocks(std::vector<cd>& a, size_t len, bool inverse,
                       size_t block_begin, size_t block_end) {
-  const std::vector<cd>& tw = stage_twiddles(len, inverse);
+  // The std::complex butterfly u +/- x*w written out on the interleaved
+  // (re, im) buffer: x*w = (xr wr - xi wi, xr wi + xi wr), the sums per
+  // component.  Every output keeps the complex loop's exact operations,
+  // and the j loop vectorizes.
+  const double* w =
+      reinterpret_cast<const double*>(stage_twiddles(len, inverse).data());
+  const size_t half = len / 2;
   for (size_t blk = block_begin; blk < block_end; ++blk) {
-    const size_t i = blk * len;
-    for (size_t j = 0; j < len / 2; ++j) {
-      const cd u = a[i + j];
-      const cd v = a[i + j + len / 2] * tw[j];
-      a[i + j] = u + v;
-      a[i + j + len / 2] = u - v;
+    double* lo = reinterpret_cast<double*>(a.data() + blk * len);
+    double* hi = lo + len;  // element blk*len + half
+    for (size_t j = 0; j < half; ++j) {
+      const double xr = hi[2 * j], xi = hi[2 * j + 1];
+      const double vr = xr * w[2 * j] - xi * w[2 * j + 1];
+      const double vi = xr * w[2 * j + 1] + xi * w[2 * j];
+      const double ur = lo[2 * j], ui = lo[2 * j + 1];
+      lo[2 * j] = ur + vr;
+      lo[2 * j + 1] = ui + vi;
+      hi[2 * j] = ur - vr;
+      hi[2 * j + 1] = ui - vi;
     }
   }
 }
@@ -102,9 +113,11 @@ void fft_into(const std::vector<cd>& x, std::vector<cd>& y) {
 
 std::vector<cd> ifft(const std::vector<cd>& x) {
   std::vector<cd> a = x;
-  fft_inplace(a, true);
+  ifft_inplace(a);
   return a;
 }
+
+void ifft_inplace(std::vector<cd>& a) { fft_inplace(a, true); }
 
 void matmul_rows(std::span<const cd> a, std::span<const cd> b,
                  std::span<cd> c, size_t m, size_t k, size_t p,

@@ -35,6 +35,9 @@ void fft_into(const std::vector<cd>& x, std::vector<cd>& y);
 // Inverse of fft(): unscaled accumulation (fft(ifft(x)) == x).
 std::vector<cd> ifft(const std::vector<cd>& x);
 
+// ifft() in place on a caller-owned buffer; bit-identical to ifft().
+void ifft_inplace(std::vector<cd>& a);
+
 // C (m x p) = A (m x k) * B (k x p), row-major.
 std::vector<cd> matmul(const std::vector<cd>& a, const std::vector<cd>& b,
                        size_t m, size_t k, size_t p);

@@ -1,5 +1,6 @@
 #include "phy/channel.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -102,9 +103,19 @@ double Channel::doppler_rho(const Channel_config& cfg, uint32_t l) {
 
 Channel::Channel(const Channel_config& cfg, common::Rng& rng) : cfg_(cfg) {
   if (cfg_.profile == Channel_profile::flat) {
-    const size_t blocks = (cfg_.n_sc + cfg_.coherence - 1) / cfg_.coherence;
-    h_.resize(blocks * cfg_.n_rx * cfg_.n_ue);
-    for (auto& v : h_) v = rng.cnormal() * cfg_.gain;
+    // One coefficient per (block, r, l), drawn in that legacy order and
+    // spread over the block's sub-carriers of row (r, l).
+    PP_CHECK(cfg_.coherence >= 1, "a fading block spans >= 1 sub-carrier");
+    freq_.resize(static_cast<size_t>(cfg_.n_rx) * cfg_.n_ue * cfg_.n_sc);
+    for (uint32_t sc0 = 0; sc0 < cfg_.n_sc; sc0 += cfg_.coherence) {
+      const uint32_t sc1 = std::min(cfg_.n_sc, sc0 + cfg_.coherence);
+      for (uint32_t r = 0; r < cfg_.n_rx; ++r) {
+        for (uint32_t l = 0; l < cfg_.n_ue; ++l) {
+          cd* row = freq_.data() + row_offset(0, r, l);
+          std::fill(row + sc0, row + sc1, rng.cnormal() * cfg_.gain);
+        }
+      }
+    }
     return;
   }
 
@@ -157,24 +168,27 @@ Channel::Channel(const Channel_config& cfg, common::Rng& rng) : cfg_(cfg) {
           cd{std::cos(ang), std::sin(ang)};
     }
   }
-  freq_.assign(
-      static_cast<size_t>(cfg_.n_symb) * cfg_.n_sc * cfg_.n_rx * cfg_.n_ue,
-      cd{0, 0});
+  // One (s, r, l) row at a time across sub-carriers: every element starts
+  // from +0 and adds the taps in table order - the per-element sum's exact
+  // sequence - while the sub-carrier loop vectorizes.
+  freq_.resize(static_cast<size_t>(cfg_.n_symb) * cfg_.n_rx * cfg_.n_ue *
+               cfg_.n_sc);
+  std::vector<double> acc_re(cfg_.n_sc), acc_im(cfg_.n_sc);
   for (uint32_t s = 0; s < cfg_.n_symb; ++s) {
-    for (uint32_t sc = 0; sc < cfg_.n_sc; ++sc) {
-      for (uint32_t r = 0; r < cfg_.n_rx; ++r) {
-        for (uint32_t l = 0; l < cfg_.n_ue; ++l) {
-          cd acc{0, 0};
-          for (uint32_t t = 0; t < n_taps_; ++t) {
-            acc += taps_[((static_cast<size_t>(s) * n_taps_ + t) * cfg_.n_rx +
-                          r) *
-                             cfg_.n_ue +
-                         l] *
-                   phase[static_cast<size_t>(t) * cfg_.n_sc + sc];
-          }
-          freq_[((static_cast<size_t>(s) * cfg_.n_sc + sc) * cfg_.n_rx + r) *
-                    cfg_.n_ue +
-                l] = acc;
+    for (uint32_t r = 0; r < cfg_.n_rx; ++r) {
+      for (uint32_t l = 0; l < cfg_.n_ue; ++l) {
+        std::fill(acc_re.begin(), acc_re.end(), 0.0);
+        std::fill(acc_im.begin(), acc_im.end(), 0.0);
+        for (uint32_t t = 0; t < n_taps_; ++t) {
+          const size_t at =
+              (static_cast<size_t>(t) * cfg_.n_rx + r) * cfg_.n_ue + l;
+          cmac_split(taps_[s * per_symb + at],
+                     &phase[static_cast<size_t>(t) * cfg_.n_sc],
+                     acc_re.data(), acc_im.data(), cfg_.n_sc);
+        }
+        cd* out = freq_.data() + row_offset(s, r, l);
+        for (uint32_t sc = 0; sc < cfg_.n_sc; ++sc) {
+          out[sc] = cd{acc_re[sc], acc_im[sc]};
         }
       }
     }
@@ -189,23 +203,6 @@ cd Channel::tap_gain(uint32_t s, uint32_t t, uint32_t r, uint32_t l) const {
   return taps_[((static_cast<size_t>(s) * n_taps_ + t) * cfg_.n_rx + r) *
                    cfg_.n_ue +
                l];
-}
-
-std::vector<cd> Channel::apply(const std::vector<std::vector<cd>>& x,
-                               uint32_t s, common::Rng& noise_rng) const {
-  PP_CHECK(x.size() == cfg_.n_ue, "need one grid per UE");
-  std::vector<cd> y(static_cast<size_t>(cfg_.n_sc) * cfg_.n_rx, cd{0, 0});
-  for (uint32_t sc = 0; sc < cfg_.n_sc; ++sc) {
-    for (uint32_t r = 0; r < cfg_.n_rx; ++r) {
-      cd acc{0, 0};
-      for (uint32_t l = 0; l < cfg_.n_ue; ++l) {
-        acc += h(s, sc, r, l) * x[l][sc];
-      }
-      acc += noise_rng.cnormal() * std::sqrt(cfg_.sigma2);
-      y[static_cast<size_t>(sc) * cfg_.n_rx + r] = acc;
-    }
-  }
-  return y;
 }
 
 std::vector<cd> dft_codebook(uint32_t n_rx, uint32_t n_beams) {

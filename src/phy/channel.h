@@ -24,6 +24,7 @@
 #define PUSCHPOOL_PHY_CHANNEL_H
 
 #include <complex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,20 +87,14 @@ class Channel {
   // symbol s.  The flat profile is time-invariant (s is ignored); TDL
   // profiles evolve per symbol under the per-UE Doppler.
   cd h(uint32_t s, uint32_t sc, uint32_t r, uint32_t l) const {
-    if (cfg_.profile == Channel_profile::flat) {
-      return h_[(static_cast<size_t>(sc / cfg_.coherence) * cfg_.n_rx + r) *
-                    cfg_.n_ue +
-                l];
-    }
-    return freq_[((static_cast<size_t>(s) * cfg_.n_sc + sc) * cfg_.n_rx + r) *
-                     cfg_.n_ue +
-                 l];
+    return row(s, r, l)[sc];
   }
 
-  // Apply the channel to OFDM symbol s: x[l][sc] (per-UE frequency grids)
-  // -> y[sc][r] antenna grid with AWGN.
-  std::vector<cd> apply(const std::vector<std::vector<cd>>& x, uint32_t s,
-                        common::Rng& noise_rng) const;
+  // The same response on all n_sc sub-carriers: row (s, r, l) of the
+  // stored response, contiguous in sub-carrier order.
+  std::span<const cd> row(uint32_t s, uint32_t r, uint32_t l) const {
+    return {freq_.data() + row_offset(s, r, l), cfg_.n_sc};
+  }
 
   const Channel_config& config() const { return cfg_; }
 
@@ -124,12 +119,30 @@ class Channel {
   static constexpr uint64_t kUeStream = uint64_t{1} << 52;
 
  private:
+  size_t row_offset(uint32_t s, uint32_t r, uint32_t l) const {
+    const size_t symb = cfg_.profile == Channel_profile::flat ? 0 : s;
+    return ((symb * cfg_.n_rx + r) * cfg_.n_ue + l) * cfg_.n_sc;
+  }
+
   Channel_config cfg_;
-  std::vector<cd> h_;     // flat: [block][r][l]
   uint32_t n_taps_ = 0;   // TDL tap count
   std::vector<cd> taps_;  // TDL: [s][t][r][l]
-  std::vector<cd> freq_;  // TDL: [s][sc][r][l]
+  std::vector<cd> freq_;  // response [s][r][l][sc]; flat stores one symbol
 };
+
+// acc[i] += g * x[i] for i < n, on split real and imaginary accumulators:
+// the std::complex product (ac - bd, ad + bc) written out so the loop
+// vectorizes, with every element's operations unchanged.
+inline void cmac_split(cd g, const cd* x, double* acc_re, double* acc_im,
+                       size_t n) {
+  const double gr = g.real(), gi = g.imag();
+  const double* xs = reinterpret_cast<const double*>(x);
+  for (size_t i = 0; i < n; ++i) {
+    const double xr = xs[2 * i], xi = xs[2 * i + 1];
+    acc_re[i] += gr * xr - gi * xi;
+    acc_im[i] += gr * xi + gi * xr;
+  }
+}
 
 // Orthonormal DFT beamforming codebook: n_rx x n_beams, column b is the
 // steering vector exp(-j 2 pi r b / n_rx) / sqrt(n_rx).

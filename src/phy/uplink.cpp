@@ -122,36 +122,60 @@ Uplink_scenario::Uplink_scenario(const Uplink_config& cfg)
   }
   common::Rng& noise_rng = cfg_.harq_attempt > 0 ? harq_rng : rng_;
 
-  // Channel + OFDM modulation to time domain, per symbol and antenna.
+  // Channel + OFDM modulation to time domain: one pass per (symbol,
+  // antenna) straight into that antenna's sample row.  Each bin starts from
+  // +0, adds the UE products in index order, then its noise - drawn for the
+  // whole symbol first, in the legacy (sc, r) stream order - and the row is
+  // inverse-transformed in place (docs/DETERMINISM.md §9 rule 5).
+  const double noise_amp = std::sqrt(cfg_.sigma2);
+  // Normalize so time samples keep Q15 headroom; the receiver's 1/N FFT
+  // scaling plus this factor is undone in the beamforming stage.
+  const double time_norm = std::sqrt(static_cast<double>(cfg_.fft_size));
+  // One symbol's noise, [r][sc].
+  std::vector<cd> noise(static_cast<size_t>(cfg_.n_rx) * cfg_.n_sc);
   time_.resize(cfg_.n_symb);
   for (uint32_t s = 0; s < cfg_.n_symb; ++s) {
-    std::vector<std::vector<cd>> x(cfg_.n_ue);
-    for (uint32_t l = 0; l < cfg_.n_ue; ++l) x[l] = grids_[l][s];
-    const auto y = chan_.apply(x, s, noise_rng);  // [sc][rx]
+    for (uint32_t sc = 0; sc < cfg_.n_sc; ++sc) {
+      for (uint32_t r = 0; r < cfg_.n_rx; ++r) {
+        noise[static_cast<size_t>(r) * cfg_.n_sc + sc] =
+            noise_rng.cnormal() * noise_amp;
+      }
+    }
     time_[s].resize(cfg_.n_rx);
     for (uint32_t r = 0; r < cfg_.n_rx; ++r) {
-      std::vector<cd> bins(cfg_.fft_size, cd{0, 0});
-      for (uint32_t sc = 0; sc < cfg_.n_sc; ++sc) {
-        bins[sc] = y[static_cast<size_t>(sc) * cfg_.n_rx + r];
+      std::vector<cd>& y = time_[s][r];
+      y.assign(cfg_.fft_size, cd{0, 0});
+      double* ys = reinterpret_cast<double*>(y.data());
+      for (uint32_t l = 0; l < cfg_.n_ue; ++l) {
+        // y += h * x with the product written out as (ac - bd, ad + bc).
+        const double* hs =
+            reinterpret_cast<const double*>(chan_.row(s, r, l).data());
+        const double* xs = reinterpret_cast<const double*>(grids_[l][s].data());
+        for (size_t sc = 0; sc < cfg_.n_sc; ++sc) {
+          const double hr = hs[2 * sc], hi = hs[2 * sc + 1];
+          const double xr = xs[2 * sc], xi = xs[2 * sc + 1];
+          ys[2 * sc] += hr * xr - hi * xi;
+          ys[2 * sc + 1] += hr * xi + hi * xr;
+        }
       }
-      time_[s][r] = ref::ifft(bins);
-      // Normalize so time samples keep Q15 headroom; the receiver's 1/N FFT
-      // scaling plus this factor is undone in the beamforming stage.
-      for (auto& v : time_[s][r]) v /= std::sqrt(static_cast<double>(cfg_.fft_size));
+      const cd* nr = noise.data() + static_cast<size_t>(r) * cfg_.n_sc;
+      for (uint32_t sc = 0; sc < cfg_.n_sc; ++sc) y[sc] += nr[sc];
+      ref::ifft_inplace(y);
+      for (auto& v : y) v /= time_norm;
     }
   }
 
   // Ideal code-separated pilot observations in the beam domain.
   pilot_obs_.resize(cfg_.n_ue);
   const auto h_eff = beam_channel();
+  const double pilot_noise_amp = std::sqrt(cfg_.sigma2 / (2.0 * cfg_.n_ue));
   for (uint32_t l = 0; l < cfg_.n_ue; ++l) {
     pilot_obs_[l].resize(static_cast<size_t>(cfg_.n_sc) * cfg_.n_beams);
     for (uint32_t sc = 0; sc < cfg_.n_sc; ++sc) {
       for (uint32_t b = 0; b < cfg_.n_beams; ++b) {
         cd v = h_eff[(static_cast<size_t>(sc) * cfg_.n_beams + b) * cfg_.n_ue + l] *
                pilots_[l][sc];
-        v += noise_rng.cnormal() *
-             std::sqrt(cfg_.sigma2 / (2.0 * cfg_.n_ue));  // separated noise
+        v += noise_rng.cnormal() * pilot_noise_amp;  // separated noise
         pilot_obs_[l][static_cast<size_t>(sc) * cfg_.n_beams + b] = v;
       }
     }
@@ -159,16 +183,22 @@ Uplink_scenario::Uplink_scenario(const Uplink_config& cfg)
 }
 
 std::vector<cd> Uplink_scenario::beam_channel(uint32_t s) const {
+  // One (beam, UE) row at a time across sub-carriers, antennas summed in
+  // index order from +0, then scattered into the [sc][b][l] layout.
   std::vector<cd> h_eff(static_cast<size_t>(cfg_.n_sc) * cfg_.n_beams * cfg_.n_ue);
-  for (uint32_t sc = 0; sc < cfg_.n_sc; ++sc) {
-    for (uint32_t b = 0; b < cfg_.n_beams; ++b) {
-      for (uint32_t l = 0; l < cfg_.n_ue; ++l) {
-        cd acc{0, 0};
-        for (uint32_t r = 0; r < cfg_.n_rx; ++r) {
-          acc += codebook_[static_cast<size_t>(r) * cfg_.n_beams + b] *
-                 chan_.h(s, sc, r, l);
-        }
-        h_eff[(static_cast<size_t>(sc) * cfg_.n_beams + b) * cfg_.n_ue + l] = acc;
+  std::vector<double> acc_re(cfg_.n_sc), acc_im(cfg_.n_sc);
+  for (uint32_t b = 0; b < cfg_.n_beams; ++b) {
+    for (uint32_t l = 0; l < cfg_.n_ue; ++l) {
+      std::fill(acc_re.begin(), acc_re.end(), 0.0);
+      std::fill(acc_im.begin(), acc_im.end(), 0.0);
+      for (uint32_t r = 0; r < cfg_.n_rx; ++r) {
+        cmac_split(codebook_[static_cast<size_t>(r) * cfg_.n_beams + b],
+                   chan_.row(s, r, l).data(), acc_re.data(), acc_im.data(),
+                   cfg_.n_sc);
+      }
+      for (uint32_t sc = 0; sc < cfg_.n_sc; ++sc) {
+        h_eff[(static_cast<size_t>(sc) * cfg_.n_beams + b) * cfg_.n_ue + l] =
+            cd{acc_re[sc], acc_im[sc]};
       }
     }
   }

@@ -116,11 +116,13 @@ Rollup_result Pipeline::measure(const Measure_options& opt) const {
   std::vector<Job> jobs;
   for (const auto& spec : stages_) {
     if (spec.run.kernel.empty()) continue;
-    jobs.push_back(Job{&spec, false});
+    jobs.emplace_back().spec = &spec;
   }
   for (const auto& spec : stages_) {
     if (spec.serial.kernel.empty() || spec.serial.repeat == 0) continue;
-    jobs.push_back(Job{&spec, true});
+    Job& j = jobs.emplace_back();
+    j.spec = &spec;
+    j.is_serial = true;
   }
 
   // Serial pre-pass in declaration order: memo lookups, machine/kernel

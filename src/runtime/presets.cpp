@@ -153,59 +153,33 @@ Rollup_result run_use_case(const Use_case_options& opt) {
 
 Pipeline uplink_pipeline(const arch::Cluster_config& cluster,
                          const Uplink_options& opt) {
+  auto stage = [](const char* name, Stage_role role, const char* kernel,
+                  double rescale) {
+    Stage_spec st;
+    st.name = name;
+    st.role = role;
+    st.run.kernel = kernel;
+    st.rescale = rescale;
+    return st;
+  };
+  // `rescale` is the block scale the host applies when quantizing a
+  // stage's input: time samples into the FFT (8), the frequency grid into
+  // the MMM and the beam grid into CHE, NE and the matched filter (4).  The
+  // chol/solve stage inherits the gram stage's scale through the rhs.
+  Stage_spec fft = stage("OFDM FFT", Stage_role::fft, "fft.parallel", 8.0);
+  if (opt.fft_instances) fft.run.params.set("inst", opt.fft_instances);
+  Stage_spec solve =
+      stage("MIMO chol+solve", Stage_role::mimo_solve, "chol.batch", 1.0);
+  if (opt.chol_symb_batch > 1) {
+    solve.run.params.set("symb_batch", opt.chol_symb_batch);
+  }
   Pipeline p("pusch-uplink", cluster);
-  {
-    Stage_spec st;
-    st.name = "OFDM FFT";
-    st.role = Stage_role::fft;
-    st.run.kernel = "fft.parallel";
-    if (opt.fft_instances) st.run.params.set("inst", opt.fft_instances);
-    st.rescale = 8.0;  // time samples into the FFT
-    p.add(std::move(st));
-  }
-  {
-    Stage_spec st;
-    st.name = "BF MMM";
-    st.role = Stage_role::beamform;
-    st.run.kernel = "mmm";
-    st.rescale = 4.0;  // frequency grid into the MMM
-    p.add(std::move(st));
-  }
-  {
-    Stage_spec st;
-    st.name = "CHE";
-    st.role = Stage_role::che;
-    st.run.kernel = "che";
-    st.rescale = 4.0;  // beam grid into CHE
-    p.add(std::move(st));
-  }
-  {
-    Stage_spec st;
-    st.name = "NE";
-    st.role = Stage_role::ne;
-    st.run.kernel = "ne";
-    st.rescale = 4.0;  // beam grid into NE
-    p.add(std::move(st));
-  }
-  {
-    Stage_spec st;
-    st.name = "MIMO gram";
-    st.role = Stage_role::gram;
-    st.run.kernel = "gram.batch";
-    st.rescale = 4.0;  // beam grid into the matched filter; the chol/solve
-                       // stage inherits this scale through the rhs
-    p.add(std::move(st));
-  }
-  {
-    Stage_spec st;
-    st.name = "MIMO chol+solve";
-    st.role = Stage_role::mimo_solve;
-    st.run.kernel = "chol.batch";
-    if (opt.chol_symb_batch > 1) {
-      st.run.params.set("symb_batch", opt.chol_symb_batch);
-    }
-    p.add(std::move(st));
-  }
+  p.add(std::move(fft))
+      .add(stage("BF MMM", Stage_role::beamform, "mmm", 4.0))
+      .add(stage("CHE", Stage_role::che, "che", 4.0))
+      .add(stage("NE", Stage_role::ne, "ne", 4.0))
+      .add(stage("MIMO gram", Stage_role::gram, "gram.batch", 4.0))
+      .add(std::move(solve));
   return p;
 }
 

@@ -231,8 +231,13 @@ struct Schedule_result {
   uint64_t harq_exhausted = 0;  // blocks still failing after max_harq
   double virtual_makespan_s = 0.0;  // last completion on any shard's clock
 
-  // Host-dependent surface: measured per-slot service times and wall clock.
+  // Host-dependent surface, recorded for every executed slot (none under
+  // virtual_only): backend execution time (front + back when pipelined),
+  // the scenario construction before it, and the wall clock of the
+  // parallel execution phase - the serial admission, HARQ and aggregation
+  // passes run outside wall_seconds.
   Latency_histogram wall_service;
+  Latency_histogram wall_synth;
   double wall_seconds = 0.0;
 
   std::string source;
@@ -244,8 +249,12 @@ struct Schedule_result {
   uint64_t total_slots = 0;
   uint64_t total_cycles = 0;
 
+  // Executed (admitted) slots per second of wall_seconds; dropped jobs
+  // never ran and do not count.
   double slots_per_second() const {
-    return wall_seconds > 0.0 ? total_slots / wall_seconds : 0.0;
+    return wall_seconds > 0.0
+               ? static_cast<double>(total_slots - dropped) / wall_seconds
+               : 0.0;
   }
   double miss_rate() const {
     return deadline_slots
@@ -256,10 +265,11 @@ struct Schedule_result {
   // Whole-surface equality of everything the determinism contract covers
   // (groups, shards, admission counters, latency histograms, deadline
   // counters, virtual makespan, cycle/slot totals) - deliberately excluding
-  // the host-dependent fields (wall clock, wall-service histogram, workers,
-  // pipelined).  This is the single definition the worker-invariance
-  // re-checks use (bench_serve_latency, tests/test_scheduler.cpp), so a new
-  // deterministic field only needs adding here.
+  // the host-dependent fields (wall clock, wall-service and wall-synth
+  // histograms, workers, pipelined).  This is the single definition the
+  // worker-invariance re-checks use (bench_serve_latency,
+  // tests/test_scheduler.cpp), so a new deterministic field only needs
+  // adding here.
   bool deterministic_equal(const Schedule_result& o) const;
 
   // Cross-backend scenario surface: everything deterministic_equal covers

@@ -1,6 +1,12 @@
 // PHY substrate tests: QAM round trips, channel statistics, codebook
-// orthogonality, reference FFT, and the end-to-end golden receiver.
+// orthogonality, reference FFT, the end-to-end golden receiver, and
+// bit-level pins of the reference FFT and of scenario synthesis.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <string>
 
 #include "baseline/reference.h"
 #include "common/rng.h"
@@ -79,6 +85,85 @@ TEST(RefFft, IfftInverts) {
   }
 }
 
+// The std::complex radix-2 FFT the reference kernels were first written
+// as, kept here verbatim as the bit-level oracle: twiddles by incremental
+// product, one butterfly loop per stage, 1/N scaling by complex division.
+std::vector<ref::cd> legacy_twiddles(size_t len, bool inverse) {
+  const double ang = (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
+  const ref::cd wl{std::cos(ang), std::sin(ang)};
+  std::vector<ref::cd> t(len / 2);
+  ref::cd w{1.0, 0.0};
+  for (size_t j = 0; j < len / 2; ++j) {
+    t[j] = w;
+    w *= wl;
+  }
+  return t;
+}
+
+void legacy_stage(std::vector<ref::cd>& a, size_t len, bool inverse,
+                  size_t block_begin, size_t block_end) {
+  const std::vector<ref::cd> tw = legacy_twiddles(len, inverse);
+  for (size_t blk = block_begin; blk < block_end; ++blk) {
+    const size_t i = blk * len;
+    for (size_t j = 0; j < len / 2; ++j) {
+      const ref::cd u = a[i + j];
+      const ref::cd v = a[i + j + len / 2] * tw[j];
+      a[i + j] = u + v;
+      a[i + j + len / 2] = u - v;
+    }
+  }
+}
+
+std::vector<ref::cd> legacy_fft(std::vector<ref::cd> a, bool inverse) {
+  ref::fft_bit_reverse(a);
+  for (size_t len = 2; len <= a.size(); len <<= 1) {
+    legacy_stage(a, len, inverse, 0, a.size() / len);
+  }
+  if (!inverse) {
+    for (auto& v : a) v /= static_cast<double>(a.size());
+  }
+  return a;
+}
+
+bool same_bits(const std::vector<ref::cd>& a, const std::vector<ref::cd>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(ref::cd)) == 0;
+}
+
+TEST(RefFft, BitIdenticalToComplexButterfly) {
+  Rng rng(9);
+  for (size_t n = 2; n <= 4096; n <<= 1) {
+    std::vector<ref::cd> x(n);
+    for (auto& v : x) v = rng.cnormal();
+    // A negative zero in the input: its sign must propagate exactly as in
+    // the complex loop.
+    x[0] = ref::cd{-0.0, 3.0};
+    EXPECT_TRUE(same_bits(ref::fft(x), legacy_fft(x, false))) << "n=" << n;
+    EXPECT_TRUE(same_bits(ref::ifft(x), legacy_fft(x, true))) << "n=" << n;
+    std::vector<ref::cd> y(3, ref::cd{7.0, 7.0});  // stale, wrong-sized
+    ref::fft_into(x, y);
+    EXPECT_TRUE(same_bits(y, legacy_fft(x, false))) << "n=" << n;
+
+    // Partial stage ranges: each stage split at an uneven block, both
+    // halves applied separately, and compared after every half.
+    for (const bool inverse : {false, true}) {
+      std::vector<ref::cd> a = x, b = x;
+      ref::fft_bit_reverse(a);
+      ref::fft_bit_reverse(b);
+      for (size_t len = 2; len <= n; len <<= 1) {
+        const size_t blocks = n / len;
+        const size_t split = blocks / 3;
+        ref::fft_stage_blocks(a, len, inverse, split, blocks);
+        legacy_stage(b, len, inverse, split, blocks);
+        ASSERT_TRUE(same_bits(a, b)) << "n=" << n << " len=" << len;
+        ref::fft_stage_blocks(a, len, inverse, 0, split);
+        legacy_stage(b, len, inverse, 0, split);
+        ASSERT_TRUE(same_bits(a, b)) << "n=" << n << " len=" << len;
+      }
+    }
+  }
+}
+
 TEST(Channel, RayleighUnitVarianceAcrossRealizations) {
   Rng rng(7);
   double acc = 0.0;
@@ -152,6 +237,146 @@ TEST(GoldenReceiver, HigherOrderQamNeedsMoreSnr) {
   cfg.seed = 45;
   phy::Uplink_scenario noisy(cfg);
   EXPECT_GT(phy::golden_receive(noisy).ber, 0.0);
+}
+
+// ---- scenario synthesis, pinned bit for bit --------------------------------
+//
+// FNV-1a (64-bit) over the raw bytes of everything a scenario synthesizes,
+// one digest per surface.  The expected values were recorded from the
+// original per-element std::complex synthesis; any change to the
+// arithmetic order of the channel response, the channel application, the
+// IFFT or the noise draws moves them (docs/DETERMINISM.md §9 rule 5).
+struct Synthesis_digest {
+  uint64_t time = 0;       // antenna_time(s, r), all symbols and antennas
+  uint64_t pilot_obs = 0;  // pilot_obs_beam(l), all UEs
+  uint64_t tx_grid = 0;    // tx_grid(l, s), all UEs and symbols
+  uint64_t tx_bits = 0;    // tx_bits(l), all UEs
+  uint64_t beam = 0;       // beam_channel()
+};
+
+class Fnv1a {
+ public:
+  template <typename T>
+  void add(const std::vector<T>& v) {
+    const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+    for (size_t i = 0; i < v.size() * sizeof(T); ++i) {
+      h_ = (h_ ^ p[i]) * 0x100000001b3ull;
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+Synthesis_digest synthesis_digest(const phy::Uplink_scenario& sc) {
+  const auto& cfg = sc.config();
+  Fnv1a time, pilot_obs, tx_grid, tx_bits, beam;
+  for (uint32_t s = 0; s < cfg.n_symb; ++s) {
+    for (uint32_t r = 0; r < cfg.n_rx; ++r) time.add(sc.antenna_time(s, r));
+  }
+  for (uint32_t l = 0; l < cfg.n_ue; ++l) {
+    pilot_obs.add(sc.pilot_obs_beam(l));
+    for (uint32_t s = 0; s < cfg.n_symb; ++s) tx_grid.add(sc.tx_grid(l, s));
+    tx_bits.add(sc.tx_bits(l));
+  }
+  beam.add(sc.beam_channel());
+  return {time.value(), pilot_obs.value(), tx_grid.value(), tx_bits.value(),
+          beam.value()};
+}
+
+struct Synthesis_case {
+  const char* name;
+  phy::Uplink_config cfg;
+  Synthesis_digest want;
+};
+
+// 14-symbol slots with 2 pilot symbols, all bins active unless a case
+// narrows n_sc.
+phy::Uplink_config synthesis_config(uint32_t fft_size, uint32_t n_ue,
+                                    phy::Channel_profile profile,
+                                    double doppler_hz, uint64_t seed) {
+  phy::Uplink_config cfg;
+  cfg.n_sc = fft_size;
+  cfg.fft_size = fft_size;
+  cfg.n_ue = n_ue;
+  cfg.n_symb = 14;
+  cfg.n_pilot_symb = 2;
+  cfg.sigma2 = 2e-4;
+  cfg.profile = profile;
+  cfg.doppler_hz = doppler_hz;
+  cfg.seed = seed;
+  return cfg;
+}
+
+std::vector<Synthesis_case> synthesis_cases() {
+  using phy::Channel_profile;
+  auto flat = [](uint32_t fft, uint32_t n_ue, uint64_t seed) {
+    return synthesis_config(fft, n_ue, Channel_profile::flat, 0.0, seed);
+  };
+  auto narrow = flat(256, 2, 12);
+  narrow.n_sc = 192;  // guard bins 192..255 stay empty before the IFFT
+  auto flat_harq = flat(64, 2, 15);
+  flat_harq.harq_attempt = 1;
+  auto tdla_harq = synthesis_config(256, 2, Channel_profile::tdl_a, 10.0, 16);
+  tdla_harq.harq_attempt = 1;
+  auto flat_quiet = flat(64, 2, 17);
+  flat_quiet.sigma2 = 0.0;
+  auto tdlc_quiet = synthesis_config(64, 2, Channel_profile::tdl_c, 100.0, 18);
+  tdlc_quiet.sigma2 = 0.0;
+  return {
+      {"flat-64pt-1ue",
+       flat(64, 1, 11),
+       {0xbe1b70f5c34fba76, 0x7e691e8fd6cbc028, 0x963b0495d6aa0ab5,
+        0xa3649345cf4594a0, 0x06f5d26384029845}},
+      {"flat-192sc-256pt",
+       narrow,
+       {0x1284c1feb9c77fc2, 0xf4fae6d38bdb77a2, 0x13842d6b9b3d0825,
+        0x2a251ea31adca1fd, 0x499aef86f50e5025}},
+      {"tdla-1024pt-4ue-10hz",
+       synthesis_config(1024, 4, Channel_profile::tdl_a, 10.0, 13),
+       {0x549804cd27134549, 0x438575b4dc598e95, 0xa174592f39a905a5,
+        0xf7f2543a38f5bbe1, 0x4add622ad121d204}},
+      {"tdlc-256pt-3ue-300hz",
+       synthesis_config(256, 3, Channel_profile::tdl_c, 300.0, 14),
+       {0x6926baddc6ee20cd, 0x9c89e20263c9a568, 0x7967541fb672de4d,
+        0xf95811d4a02c7f91, 0x2c237956d993034b}},
+      {"flat-64pt-harq1",
+       flat_harq,
+       {0xb21abd5808e02f9e, 0xf4efe7b220801974, 0xdba1efaec130689d,
+        0xbd8802c037adf7de, 0xe152aa323bb68d05}},
+      {"tdla-256pt-harq1",
+       tdla_harq,
+       {0xcebd9b10a76a24a2, 0x71f275f4b7d71d9c, 0x4755540c4bd38709,
+        0xf8d6e5b35a31c744, 0x3a944c384128f3ac}},
+      {"flat-64pt-noiseless",
+       flat_quiet,
+       {0x2cc4d7186702d2ef, 0x890fdc55faa2b435, 0x699a8ed82da78f35,
+        0x60b4c712b2e9904e, 0x9aecc86d6e753e85}},
+      {"tdlc-64pt-noiseless",
+       tdlc_quiet,
+       {0x5385d36c30c233be, 0x997341ea6e1f2d35, 0xbca0d274834e4abd,
+        0x388a9a84f51cec21, 0x964d8041a432eded}},
+  };
+}
+
+std::string hex(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(ScenarioSynthesis, DigestsArePinned) {
+  for (const auto& c : synthesis_cases()) {
+    const Synthesis_digest got = synthesis_digest(phy::Uplink_scenario(c.cfg));
+    EXPECT_EQ(hex(got.time), hex(c.want.time)) << c.name << " antenna_time";
+    EXPECT_EQ(hex(got.pilot_obs), hex(c.want.pilot_obs))
+        << c.name << " pilot_obs_beam";
+    EXPECT_EQ(hex(got.tx_grid), hex(c.want.tx_grid)) << c.name << " tx_grid";
+    EXPECT_EQ(hex(got.tx_bits), hex(c.want.tx_bits)) << c.name << " tx_bits";
+    EXPECT_EQ(hex(got.beam), hex(c.want.beam)) << c.name << " beam_channel";
+  }
 }
 
 }  // namespace

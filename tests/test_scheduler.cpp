@@ -433,6 +433,27 @@ TEST(Scheduler, DropPolicyShedsWithoutExecuting) {
   EXPECT_LE(res.deadline_misses, base.deadline_misses);
 }
 
+TEST(Scheduler, ServedRateAndSynthesisTimesCountExecutedSlotsOnly) {
+  // Dropped jobs never run: slots_per_second() counts executed slots over
+  // the parallel phase, and wall_synth / wall_service hold one entry per
+  // executed slot, whole-slot or stage-pipelined.
+  const Traffic_source src(serving_traffic());
+  Scheduler_options opt;
+  opt.workers = 2;
+  opt.overload = "drop";
+  for (const bool pipelined : {false, true}) {
+    opt.pipelined = pipelined;
+    const auto res = Slot_scheduler(opt).run(src);
+    ASSERT_GT(res.dropped, 0u);
+    const uint64_t executed = res.total_slots - res.dropped;
+    EXPECT_DOUBLE_EQ(res.slots_per_second() * res.wall_seconds,
+                     static_cast<double>(executed));
+    EXPECT_EQ(res.wall_synth.count(), executed);
+    EXPECT_EQ(res.wall_service.count(), executed);
+    EXPECT_GT(res.wall_synth.max_recorded(), 0.0);
+  }
+}
+
 TEST(Scheduler, QueuePolicyBoundsThePredictedBacklog) {
   // At 1 GHz the analytic service (~us) is dwarfed by the slot-duration
   // arrival gaps (~100s of us), so a backlog never builds; a slowed
@@ -502,6 +523,7 @@ TEST(Scheduler, VirtualOnlyMatchesTheFullRunsDeadlineSurface) {
   const auto virt = Slot_scheduler(opt).run(src);
   EXPECT_EQ(virt.total_cycles, 0u);
   EXPECT_EQ(virt.wall_service.count(), 0u);
+  EXPECT_EQ(virt.wall_synth.count(), 0u);
   EXPECT_TRUE(virt.latency == full.latency);
   EXPECT_EQ(virt.admitted, full.admitted);
   EXPECT_EQ(virt.dropped, full.dropped);
