@@ -4,7 +4,7 @@
 // the full use case with a fused radix-4 butterfly instruction pair enabled
 // and reports the slot time against the 0.5 ms target.
 #include "bench/bench_util.h"
-#include "pusch/use_case_rollup.h"
+#include "runtime/presets.h"
 
 int main(int argc, char** argv) {
   using namespace pp;
@@ -23,11 +23,11 @@ int main(int argc, char** argv) {
     Table t({"cluster", "ISA", "FFT cycles/slot", "total cycles", "ms @ 1GHz",
              "meets 0.5 ms"});
     for (const bool fused : {false, true}) {
-      pusch::Chain_config cfg;
+      runtime::Use_case_options cfg;
       cfg.cluster = base;
       cfg.cluster.isa_fused_butterfly = fused;
       cfg.batch_cholesky = true;
-      const auto res = pusch::run_use_case(cfg);
+      const auto res = runtime::run_use_case(cfg);
       t.add_row({base.name, fused ? "fused butterfly" : "baseline",
                  Table::fmt(res.stages[0].total_cycles()),
                  Table::fmt(res.parallel_cycles),

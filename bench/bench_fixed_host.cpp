@@ -3,7 +3,7 @@
 //
 // Times the full receive chain through three host backends - the Q15
 // subsystem (src/fixed/) with its vector paths forced off, the same with
-// SIMD on (AVX2/NEON where the host supports it), and Reference_backend -
+// SIMD on (AVX2/NEON where the host supports it), and "reference" -
 // interleaved in one process (bench::time_interleaved, kReps rounds), so
 // each ratio compares runs that saw the same host conditions; the table
 // states each side's median and spread.  Two stage rows isolate the kernels

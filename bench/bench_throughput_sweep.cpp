@@ -1,10 +1,10 @@
 // Slot-sweep throughput: the paper's slot-budget argument, host-side.
 //
-// Runs the same scenario grid serially (1 worker) and on the full thread
-// pool, reports slots/sec for both, the parallel speedup, and verifies the
-// two runs are bit-identical (the sweep engine's determinism contract:
-// per-slot seeds derive from (base_seed, slot_index) alone and aggregation
-// is in slot-index order).
+// Runs the same scenario grid (runtime::Grid_source) through the slot
+// scheduler serially (1 worker) and on the full thread pool, reports
+// slots/sec for both, the parallel speedup, and verifies the two runs are
+// bit-identical (the determinism contract: per-slot seeds derive from
+// (base_seed, slot_index) alone and aggregation is in slot-index order).
 //
 //   ./bench/bench_throughput_sweep [--workers N] [--backend reference]
 //       [--fft 64,256,1024] [--snr-points 5] [--slots 2] [--arch minipool]
@@ -21,22 +21,16 @@ namespace {
 
 using namespace pp;
 
-bool bit_identical(const runtime::Sweep_result& a,
-                   const runtime::Sweep_result& b) {
-  if (a.slots.size() != b.slots.size()) return false;
+bool bit_identical(const runtime::Schedule_result& a,
+                   const runtime::Schedule_result& b) {
+  if (!a.deterministic_equal(b) || a.slots.size() != b.slots.size()) {
+    return false;
+  }
   for (size_t i = 0; i < a.slots.size(); ++i) {
     const auto& x = a.slots[i];
     const auto& y = b.slots[i];
     if (x.bits != y.bits || x.evm != y.evm || x.ber != y.ber ||
         x.sigma2_hat != y.sigma2_hat) {
-      return false;
-    }
-  }
-  if (a.points.size() != b.points.size()) return false;
-  for (size_t p = 0; p < a.points.size(); ++p) {
-    if (a.points[p].evm != b.points[p].evm ||
-        a.points[p].ber != b.points[p].ber ||
-        a.points[p].cycles != b.points[p].cycles) {
       return false;
     }
   }
@@ -63,7 +57,7 @@ int main(int argc, char** argv) {
   }
   grid.slots_per_point = cli.get_u32("--slots", 2);
 
-  runtime::Sweep_options opt;
+  runtime::Scheduler_options opt;
   opt.backend = cli.get("--backend", "reference");
   opt.cluster = bench::cluster_from_cli(cli, "minipool");
 
@@ -72,10 +66,11 @@ int main(int argc, char** argv) {
       workers_flag ? workers_flag
                    : std::max(1u, std::thread::hardware_concurrency());
 
+  const runtime::Grid_source source(grid);
   opt.workers = 1;
-  const auto serial = runtime::Sweep_runner(opt).run(grid);
+  const auto serial = runtime::Slot_scheduler(opt).run(source);
   opt.workers = pool;
-  const auto parallel = runtime::Sweep_runner(opt).run(grid);
+  const auto parallel = runtime::Slot_scheduler(opt).run(source);
 
   std::fputs(parallel.str().c_str(), stdout);
   std::printf("\nserial   : %6.1f slots/s (%.3f s wall)\n",
@@ -92,12 +87,15 @@ int main(int argc, char** argv) {
   rep.add_meta("backend", opt.backend);
   rep.add_meta("cluster", opt.cluster.name);
   rep.add_meta("workers", std::to_string(pool));
-  for (const auto& p : parallel.points) {
+  const auto points = grid.points();
+  for (size_t i = 0; i < points.size(); ++i) {
+    const auto& point = points[i];
+    const auto& p = parallel.groups[i];
     auto& row = rep.add_row(
-        "fft=" + std::to_string(p.point.fft_size) +
-        " ue=" + std::to_string(p.point.n_ue) +
-        " qam=" + std::to_string(static_cast<uint32_t>(p.point.qam)) +
-        " snr=" + common::Table::fmt(p.point.snr_db, 1));
+        "fft=" + std::to_string(point.fft_size) +
+        " ue=" + std::to_string(point.n_ue) +
+        " qam=" + std::to_string(static_cast<uint32_t>(point.qam)) +
+        " snr=" + common::Table::fmt(point.snr_db, 1));
     row.cluster = opt.cluster.name;
     row.metric("evm", p.evm, "rms", true, "exact");
     row.metric("ber", p.ber, "rate", true, "exact");

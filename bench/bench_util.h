@@ -360,13 +360,17 @@ inline Row report_from(const std::string& name, const Measured& m,
   return row;
 }
 
-// Honors `--json <path>`: absent -> no-op (stdout tables stay the only
-// output), present -> serialize `rep`.  Returns the process exit code to
-// combine with the bench's own status: `return emit(rep, cli) | status;`.
-inline int emit(const Report& rep, const common::Cli& cli) {
-  const std::string path = cli.get("--json", "");
+// Honors `--json <path>`: absent (empty path) -> no-op (stdout tables stay
+// the only output), present -> serialize `rep`.  Returns the process exit
+// code to combine with the bench's own status: `return emit(rep, cli) |
+// status;`.
+inline int emit(const Report& rep, const std::string& path) {
   if (path.empty()) return 0;
   return rep.write_json(path) ? 0 : 1;
+}
+
+inline int emit(const Report& rep, const common::Cli& cli) {
+  return emit(rep, cli.get("--json", ""));
 }
 
 }  // namespace pp::bench

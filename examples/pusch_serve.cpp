@@ -38,7 +38,8 @@
 // admission controller (drop / queue / degrade, with --queue-limit and
 // --min-ue) in front of every shard's queue.  --json <path> emits the
 // aggregate report in the pp-bench-report-v1 schema, including per-cell and
-// per-shard admitted/dropped/degraded counters.
+// per-shard admitted/dropped/degraded counters.  An unknown flag exits 2
+// with the list of accepted ones.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -158,6 +159,8 @@ int main(int argc, char** argv) {
   if (opt.harq_ber < 0.0 || opt.harq_ber > 1.0) {
     bad_range("--harq-ber", "BER threshold must be in [0, 1]");
   }
+  const std::string json_path = cli.get("--json", "");
+  cli.reject_unknown();
 
   const runtime::Traffic_source source(traffic);
   std::printf("serve: %llu slots over %zu cell%s on '%s' (%s cluster), "
@@ -274,5 +277,5 @@ int main(int argc, char** argv) {
                 1e6 * res.wall_service.percentile(0.99), "us", false, "info");
   totals.metric("wall_synth_p50_us", 1e6 * res.wall_synth.percentile(0.50),
                 "us", false, "info");
-  return bench::emit(rep, cli);
+  return bench::emit(rep, json_path);
 }

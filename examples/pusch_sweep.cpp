@@ -1,6 +1,6 @@
 // Scenario sweep CLI: BER/EVM-vs-SNR curves over a grid of numerologies,
-// UE counts and QAM orders, executed slot-parallel on a host thread pool
-// (runtime::Sweep_runner).
+// UE counts and QAM orders.  The grid (runtime::Grid_source) runs
+// slot-parallel on runtime::Slot_scheduler, one result row per grid point.
 //
 //   ./examples/pusch_sweep                                   # small default grid
 //   ./examples/pusch_sweep --backend reference --workers 8
@@ -8,14 +8,15 @@
 //   ./examples/pusch_sweep --backend sim --arch minipool --fft 64 --snr 20,30
 //   ./examples/pusch_sweep --backend parallel --workers 2 --intra 4
 //
-// --backend picks sim, reference, or parallel (the intra-slot parallel host
-// backend; --intra N sets its per-slot worker count, composing with the
-// slot-level --workers).  List flags take comma-separated values; --snr
-// also accepts lo:hi:step.  Per-slot seeds are Rng::derive_seed(--seed,
-// slot_index), so results are bit-identical for any --workers and --intra
-// counts (docs/DETERMINISM.md).  --list prints the registered clusters,
-// backends, pipeline presets and registry kernels instead of running;
-// unknown --arch/--backend names error with the same lists.
+// --backend picks sim, reference, parallel or fixed (--intra N sets the
+// per-slot worker count of the parallel and fixed host backends, composing
+// with the slot-level --workers).  List flags take comma-separated values;
+// --snr also accepts lo:hi:step.  Per-slot seeds are Rng::derive_seed(
+// --seed, slot_index), so results are bit-identical for any --workers and
+// --intra counts (docs/DETERMINISM.md).  --list prints the registered
+// clusters, backends, pipeline presets and registry kernels instead of
+// running; unknown --arch/--backend names error with the same lists, and an
+// unknown flag exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -115,7 +116,7 @@ int main(int argc, char** argv) {
   grid.doppler_hz = cli.get_double("--doppler", 0.0);
   grid.delay_spread = cli.get_double("--delay-spread", 4.0);
 
-  runtime::Sweep_options opt;
+  runtime::Scheduler_options opt;
   opt.backend = bench::backend_from_cli(cli);
   opt.workers = cli.get_u32("--workers", 0);
   opt.intra = cli.get_u32("--intra", 1);
@@ -124,13 +125,14 @@ int main(int argc, char** argv) {
   opt.sim_shards = cli.get_u32("--sim-shards", 0);
   opt.cluster = bench::cluster_from_cli(cli, "minipool");
   opt.keep_slots = false;  // the CLI only reports the roll-up
+  cli.reject_unknown();
 
-  const runtime::Sweep_runner runner(opt);
   std::printf("sweep: %llu points x %u slots on '%s' (%s cluster)\n",
               static_cast<unsigned long long>(grid.n_points()),
               grid.slots_per_point, opt.backend.c_str(),
               opt.cluster.name.c_str());
-  const auto res = runner.run(grid);
+  const auto res =
+      runtime::Slot_scheduler(opt).run(runtime::Grid_source(grid));
   std::fputs(res.str().c_str(), stdout);
   return 0;
 }

@@ -23,7 +23,7 @@
 //
 // --list prints the registered clusters, backends, pipeline presets and
 // registry kernels instead of running; unknown --arch/--backend names
-// error with the same lists.
+// error with the same lists, and an unknown flag exits 2.
 //
 // The scenario is a scaled-down slot (256-pt grid, 16 antennas, 8 beams) so
 // the example runs in seconds; bench_fig9c_usecase covers the full-size
@@ -65,19 +65,20 @@ int main(int argc, char** argv) {
     case 256: cfg.qam = phy::Qam::qam256; break;
     default: cfg.qam = phy::Qam::qam16; break;
   }
+  runtime::Uplink_options opt;
+  opt.chol_symb_batch =
+      static_cast<uint32_t>(cli.get_int("--chol-batch", 1));
+  const std::string which = cli.get("--backend", "both");
+  const uint32_t intra = cli.get_u32("--intra", 1);
+  cli.reject_unknown();
 
   std::printf("scenario: %u sub-carriers, %u antennas -> %u beams, %u UEs, "
               "%u symbols (%u pilot), %u-QAM\n",
               cfg.n_sc, cfg.n_rx, cfg.n_beams, cfg.n_ue, cfg.n_symb,
               cfg.n_pilot_symb, static_cast<uint32_t>(cfg.qam));
   const phy::Uplink_scenario sc(cfg);
-
-  runtime::Uplink_options opt;
-  opt.chol_symb_batch =
-      static_cast<uint32_t>(cli.get_int("--chol-batch", 1));
   const auto pipeline = runtime::uplink_pipeline(cluster, opt);
 
-  const std::string which = cli.get("--backend", "both");
   if (which != "sim" && which != "reference" && which != "parallel" &&
       which != "fixed" && which != "both" && which != "all") {
     std::fprintf(stderr,
@@ -86,7 +87,6 @@ int main(int argc, char** argv) {
                  which.c_str());
     return 2;
   }
-  const uint32_t intra = cli.get_u32("--intra", 1);
   std::vector<runtime::Slot_result> results;
   for (const auto* name : {"reference", "sim", "parallel", "fixed"}) {
     const bool selected =

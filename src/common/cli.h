@@ -1,8 +1,13 @@
 // Tiny command-line flag reader for the example/bench executables.
 // Flags look like: --arch terapool --size 4096 --verbose
+//
+// Every getter records the flag name it was asked about, so a program that
+// has read all of its flags can reject_unknown() the rest - a mistyped
+// `--worker 4` exits 2 instead of running on defaults.
 #ifndef PUSCHPOOL_COMMON_CLI_H
 #define PUSCHPOOL_COMMON_CLI_H
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +24,7 @@ class Cli {
 
   // Value of "--name value", or fallback if absent.
   std::string get(const std::string& name, const std::string& fallback) const {
+    note(name);
     for (size_t i = 0; i + 1 < args_.size(); ++i) {
       if (args_[i] == name) return args_[i + 1];
     }
@@ -26,6 +32,7 @@ class Cli {
   }
 
   long get_int(const std::string& name, long fallback) const {
+    note(name);
     for (size_t i = 0; i + 1 < args_.size(); ++i) {
       if (args_[i] == name) return std::strtol(args_[i + 1].c_str(), nullptr, 10);
     }
@@ -35,6 +42,7 @@ class Cli {
   // Value of "--name" as a validated non-negative 32-bit integer.
   // Malformed or negative values print a readable error and exit 2.
   uint32_t get_u32(const std::string& name, uint32_t fallback) const {
+    note(name);
     for (size_t i = 0; i + 1 < args_.size(); ++i) {
       if (args_[i] == name) return parse_u32_or_die(name, args_[i + 1]);
     }
@@ -44,6 +52,7 @@ class Cli {
   // Value of "--name" as a validated double; malformed values print a
   // readable error and exit 2.  Range checks stay at the call site.
   double get_double(const std::string& name, double fallback) const {
+    note(name);
     for (size_t i = 0; i + 1 < args_.size(); ++i) {
       if (args_[i] == name) return parse_double_or_die(name, args_[i + 1]);
     }
@@ -108,10 +117,23 @@ class Cli {
 
   // True if the bare flag "--name" appears anywhere.
   bool has(const std::string& name) const {
+    note(name);
     for (const auto& a : args_) {
       if (a == name) return true;
     }
     return false;
+  }
+
+  // Prints the first "--flag" argument no getter was asked about, with the
+  // flags that were, and exits 2.  Call once every flag has been read.
+  void reject_unknown() const {
+    for (const auto& a : args_) {
+      if (a.rfind("--", 0) != 0 || is_read(a)) continue;
+      std::fprintf(stderr, "unknown flag %s; accepted:", a.c_str());
+      for (const auto& f : read_) std::fprintf(stderr, " %s", f.c_str());
+      std::fprintf(stderr, "\n");
+      std::exit(2);
+    }
   }
 
   // First non-flag positional argument, or fallback.
@@ -127,6 +149,13 @@ class Cli {
   }
 
  private:
+  bool is_read(const std::string& name) const {
+    return std::find(read_.begin(), read_.end(), name) != read_.end();
+  }
+  void note(const std::string& name) const {
+    if (!is_read(name)) read_.push_back(name);
+  }
+
   static double parse_double_or_die(const std::string& name,
                                     const std::string& tok) {
     char* end = nullptr;
@@ -153,6 +182,7 @@ class Cli {
   }
 
   std::vector<std::string> args_;
+  mutable std::vector<std::string> read_;  // flag names asked about, in order
 };
 
 }  // namespace pp::common

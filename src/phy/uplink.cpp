@@ -332,131 +332,71 @@ double payload_ber(const Uplink_scenario& sc,
   return static_cast<double>(nerr) / static_cast<double>(nbits);
 }
 
-void golden_front_into(const Uplink_scenario& sc, common::Ws_grid<cd>& beams,
-                       Front_ws& ws) {
+Receiver_result golden_receive(const Uplink_scenario& sc) {
   const auto& cfg = sc.config();
   const double fft_comp = std::sqrt(static_cast<double>(cfg.fft_size));
+  const uint32_t n_data = cfg.n_symb - cfg.n_pilot_symb;
+  Receiver_result res;
 
   // 1) OFDM demodulation + 2) beamforming, per symbol: beam grid row s is
-  // [sc * beam].  Every row is fully written by matmul_rows (which zeroes
-  // its output rows before accumulating), so reuse is safe.
-  beams.shape(cfg.n_symb, static_cast<size_t>(cfg.n_sc) * cfg.n_beams);
-  if (ws.freq.size() < cfg.n_rx) ws.freq.resize(cfg.n_rx);
-  common::ws_grow(ws.ft, static_cast<size_t>(cfg.n_sc) * cfg.n_rx);
+  // [sc * beam].
+  common::Ws_grid<cd> beams(cfg.n_symb,
+                            static_cast<size_t>(cfg.n_sc) * cfg.n_beams);
+  std::vector<std::vector<cd>> freq(cfg.n_rx);
+  std::vector<cd> ft(static_cast<size_t>(cfg.n_sc) * cfg.n_rx);
   for (uint32_t s = 0; s < cfg.n_symb; ++s) {
     for (uint32_t r = 0; r < cfg.n_rx; ++r) {
       // fft() scales by 1/N and the transmitter normalized by 1/sqrt(N), so
       // one sqrt(N) factor restores the frequency-domain grid.
-      ref::fft_into(sc.antenna_time(s, r), ws.freq[r]);
-      for (auto& v : ws.freq[r]) v *= fft_comp;
+      ref::fft_into(sc.antenna_time(s, r), freq[r]);
+      for (auto& v : freq[r]) v *= fft_comp;
     }
-    gather_subcarrier_rows(ws.freq, ws.ft, cfg.n_rx, 0, cfg.n_sc);
-    ref::matmul_rows(ws.ft, sc.codebook(), beams.row(s), cfg.n_sc, cfg.n_rx,
+    gather_subcarrier_rows(freq, ft, cfg.n_rx, 0, cfg.n_sc);
+    ref::matmul_rows(ft, sc.codebook(), beams.row(s), cfg.n_sc, cfg.n_rx,
                      cfg.n_beams, 0, cfg.n_sc);
   }
-}
-
-void golden_back_into(const Uplink_scenario& sc,
-                      const common::Ws_grid<cd>& beams, Back_ws& ws,
-                      std::vector<std::vector<uint8_t>>& bits,
-                      std::vector<std::vector<cd>>& symbols, double& evm,
-                      double& ber, double& sigma2_hat) {
-  const auto& cfg = sc.config();
-  const uint32_t n_data = cfg.n_symb - cfg.n_pilot_symb;
 
   // 3) Channel estimation (block LS on code-separated pilot observations).
-  common::ws_grow(ws.h_hat,
-                  static_cast<size_t>(cfg.n_sc) * cfg.n_beams * cfg.n_ue);
-  che_rows(sc, ws.h_hat, 0, static_cast<uint64_t>(cfg.n_ue) * cfg.n_sc);
+  std::vector<cd> h_hat(static_cast<size_t>(cfg.n_sc) * cfg.n_beams *
+                        cfg.n_ue);
+  che_rows(sc, h_hat, 0, static_cast<uint64_t>(cfg.n_ue) * cfg.n_sc);
 
   // 4) Noise estimation from the pilot symbols (terms summed in index
   // order, which is the (symbol, sub-carrier, beam) walk).
-  common::ws_grow(ws.sig_terms, static_cast<uint64_t>(cfg.n_pilot_symb) *
-                                    cfg.n_sc * cfg.n_beams);
-  ne_terms(sc, beams, ws.h_hat, ws.sig_terms, 0,
+  std::vector<double> sig_terms(static_cast<uint64_t>(cfg.n_pilot_symb) *
+                                cfg.n_sc * cfg.n_beams);
+  ne_terms(sc, beams, h_hat, sig_terms, 0,
            static_cast<uint64_t>(cfg.n_pilot_symb) * cfg.n_sc);
-  sigma2_hat = mean_of_terms(ws.sig_terms);
+  res.sigma2_hat = mean_of_terms(sig_terms);
 
   // 5) MIMO LMMSE per sub-carrier and data symbol (Cholesky + solves); EVM
   // terms summed in index order = the (symbol, sub-carrier, UE) walk.
-  // Result storage is sized exactly (consumers read .size()); inner
-  // capacity survives across slots of stable shape.
   const uint64_t n_items = static_cast<uint64_t>(n_data) * cfg.n_sc;
-  symbols.resize(cfg.n_ue);
-  for (auto& s : symbols) common::ws_grow(s, n_items);
-  bits.resize(cfg.n_ue);
-  common::ws_grow(ws.evm_terms, n_items * cfg.n_ue);
-  mimo_items(sc, beams, ws.h_hat, sigma2_hat, symbols, ws.evm_terms, ws.mimo,
+  res.symbols.assign(cfg.n_ue, std::vector<cd>(n_items));
+  std::vector<double> evm_terms(n_items * cfg.n_ue);
+  Mimo_ws mimo;
+  mimo_items(sc, beams, h_hat, res.sigma2_hat, res.symbols, evm_terms, mimo,
              0, n_items);
-  evm = evm_from_terms(ws.evm_terms);
+  res.evm = evm_from_terms(evm_terms);
 
   // 6) Demodulate and count bit errors.  tx bits are ordered
   // [data_symbol][sc]; symbols are indexed in the same order, so the direct
   // compare inside payload_ber is valid.
+  res.bits.resize(cfg.n_ue);
   for (uint32_t l = 0; l < cfg.n_ue; ++l) {
-    qam_demodulate_into(cfg.qam, symbols[l], bits[l]);
+    qam_demodulate_into(cfg.qam, res.symbols[l], res.bits[l]);
   }
-  ber = payload_ber(sc, bits);
-}
+  res.ber = payload_ber(sc, res.bits);
 
-double golden_channel_mse(const Uplink_scenario& sc,
-                          const std::vector<cd>& h_hat) {
+  // CHE quality vs. the true beam channel.
   const auto h_true = sc.beam_channel();
   PP_CHECK(h_hat.size() == h_true.size(), "channel estimate shape mismatch");
   double ch_err = 0.0;
   for (size_t i = 0; i < h_hat.size(); ++i) {
     ch_err += std::norm(h_hat[i] - h_true[i]);
   }
-  return ch_err / static_cast<double>(h_hat.size());
-}
-
-std::vector<std::vector<cd>> golden_front(const Uplink_scenario& sc) {
-  common::Ws_grid<cd> beams;
-  Front_ws ws;
-  golden_front_into(sc, beams, ws);
-  std::vector<std::vector<cd>> out(beams.rows());
-  for (size_t s = 0; s < beams.rows(); ++s) {
-    const auto row = beams.row(s);
-    out[s].assign(row.begin(), row.end());
-  }
-  return out;
-}
-
-Receiver_result golden_back(const Uplink_scenario& sc,
-                            const std::vector<std::vector<cd>>& beams) {
-  const auto& cfg = sc.config();
-  common::Ws_grid<cd> grid(beams.size(),
-                           static_cast<size_t>(cfg.n_sc) * cfg.n_beams);
-  for (size_t s = 0; s < beams.size(); ++s) {
-    PP_CHECK(beams[s].size() == grid.cols(), "beam grid shape mismatch");
-    std::copy(beams[s].begin(), beams[s].end(), grid.row(s).begin());
-  }
-  Back_ws ws;
-  Receiver_result res;
-  golden_back_into(sc, grid, ws, res.bits, res.symbols, res.evm, res.ber,
-                   res.sigma2_hat);
-  res.channel_mse = golden_channel_mse(sc, ws.h_hat);
+  res.channel_mse = ch_err / static_cast<double>(h_hat.size());
   return res;
-}
-
-Receiver_result golden_receive(const Uplink_scenario& sc) {
-  return golden_back(sc, golden_front(sc));
-}
-
-double evm_rms(const std::vector<cd>& want, const std::vector<cd>& got) {
-  PP_CHECK(want.size() == got.size(), "evm size mismatch");
-  double acc = 0.0;
-  for (size_t i = 0; i < want.size(); ++i) acc += std::norm(want[i] - got[i]);
-  return std::sqrt(acc / static_cast<double>(want.size()));
-}
-
-double bit_error_rate(const std::vector<uint8_t>& want,
-                      const std::vector<uint8_t>& got) {
-  PP_CHECK(want.size() == got.size(), "ber size mismatch");
-  if (want.empty()) return 0.0;
-  uint64_t nerr = 0;
-  for (size_t i = 0; i < want.size(); ++i) nerr += want[i] != got[i];
-  return static_cast<double>(nerr) / static_cast<double>(want.size());
 }
 
 }  // namespace pp::phy

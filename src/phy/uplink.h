@@ -102,8 +102,8 @@ class Uplink_scenario {
   // The beam-domain channel the CHE should estimate: the flat profile's
   // time-invariant response, or - for TDL profiles, where the channel moves
   // under Doppler - the mean over the pilot symbols, which is what the
-  // code-separated pilot observations actually measure.  golden_back scores
-  // channel_mse against this, so the metric is per-profile correct.
+  // code-separated pilot observations actually measure.  golden_receive
+  // scores channel_mse against this, so the metric is per-profile correct.
   std::vector<cd> beam_channel() const;
 
   // Ideal code-separated pilot observation of UE l in the beam domain,
@@ -133,19 +133,17 @@ struct Receiver_result {
   double sigma2_hat = 0.0;                 // NE output
 };
 
-// Full double-precision lower-PHY receive chain.
+// Full double-precision lower-PHY receive chain, serial: the oracle the
+// double-precision backend (runtime/backend_parallel.h) is pinned to bit for
+// bit, plus the channel_mse score no backend computes.
 Receiver_result golden_receive(const Uplink_scenario& sc);
 
-// ---- per-slot workspaces --------------------------------------------------
-//
-// Reusable scratch for the golden receiver's two halves.  Buffers grow
+// LMMSE MIMO scratch for mimo_items(): the per-item channel submatrix /
+// observation / solution plus the solver's own intermediates.  Buffers grow
 // geometrically (common::ws_grow) and then stabilize, so a worker that
-// keeps one workspace alive across slots reaches a zero-allocation steady
-// state; every buffer is fully overwritten each slot before it is read
-// back (the non-interference rule, docs/DETERMINISM.md §10).
-
-// LMMSE MIMO scratch: the per-item channel submatrix / observation /
-// solution plus the solver's own intermediates.
+// keeps one alive across slots reaches a zero-allocation steady state;
+// every buffer is fully overwritten before it is read back (the
+// non-interference rule, docs/DETERMINISM.md §10).
 struct Mimo_ws {
   std::vector<cd> h;  // n_beams x n_ue channel slice
   std::vector<cd> y;  // n_beams observation
@@ -157,64 +155,6 @@ struct Mimo_ws {
            lmmse.footprint_bytes();
   }
 };
-
-// Front-half scratch: per-antenna frequency grids (grow-only nested rows -
-// ref::fft_into needs real vectors) and the transposed beamforming input.
-struct Front_ws {
-  std::vector<std::vector<cd>> freq;  // [rx][fft_size], grow-only outer
-  std::vector<cd> ft;                 // n_sc x n_rx transpose gather
-
-  size_t footprint_bytes() const {
-    return common::ws_rows_footprint(freq) + ft.capacity() * sizeof(cd);
-  }
-};
-
-// Back-half scratch: channel estimate, the NE/EVM term arrays and the
-// MIMO solver workspace.
-struct Back_ws {
-  std::vector<cd> h_hat;
-  std::vector<double> sig_terms;
-  std::vector<double> evm_terms;
-  Mimo_ws mimo;
-
-  size_t footprint_bytes() const {
-    return h_hat.capacity() * sizeof(cd) +
-           (sig_terms.capacity() + evm_terms.capacity()) * sizeof(double) +
-           mimo.footprint_bytes();
-  }
-};
-
-// The receive chain split at the beam-grid boundary, for stage-pipelined
-// execution (runtime/scheduler.h overlaps the front half of slot n+1 with
-// the back half of slot n).  golden_receive() runs exactly
-// golden_back_into(sc, golden_front_into(sc)), so the split is
-// bit-identical to the fused chain by construction.
-//
-// Front half: per-symbol OFDM FFT + beamforming -> the beam grid, one row
-// per OFDM symbol, row layout [sc * beam].  Scratch lives in ws; the grid
-// is fully overwritten.
-void golden_front_into(const Uplink_scenario& sc, common::Ws_grid<cd>& beams,
-                       Front_ws& ws);
-
-// Back half: CHE, NE, LMMSE MIMO and demodulation on precomputed beam
-// grids, writing straight into caller-owned result storage (capacity
-// reused across slots).  Deliberately does NOT score channel_mse - the
-// backends discard it; use golden_channel_mse when the metric is wanted.
-void golden_back_into(const Uplink_scenario& sc,
-                      const common::Ws_grid<cd>& beams, Back_ws& ws,
-                      std::vector<std::vector<uint8_t>>& bits,
-                      std::vector<std::vector<cd>>& symbols, double& evm,
-                      double& ber, double& sigma2_hat);
-
-// CHE quality vs. the true beam channel, from the estimate golden_back_into
-// left in ws.h_hat (the channel_mse golden_receive reports).
-double golden_channel_mse(const Uplink_scenario& sc,
-                          const std::vector<cd>& h_hat);
-
-// Returning conveniences wrapping the _into forms (tests / one-shot use).
-std::vector<std::vector<cd>> golden_front(const Uplink_scenario& sc);
-Receiver_result golden_back(const Uplink_scenario& sc,
-                            const std::vector<std::vector<cd>>& beams);
 
 // ---- golden-receiver tiled sub-steps --------------------------------------
 //
@@ -269,11 +209,6 @@ double mean_of_terms(const std::vector<double>& terms);
 double evm_from_terms(const std::vector<double>& evm_terms);
 double payload_ber(const Uplink_scenario& sc,
                    const std::vector<std::vector<uint8_t>>& bits);
-
-// EVM/BER helpers shared with the simulated chain.
-double evm_rms(const std::vector<cd>& want, const std::vector<cd>& got);
-double bit_error_rate(const std::vector<uint8_t>& want,
-                      const std::vector<uint8_t>& got);
 
 }  // namespace pp::phy
 

@@ -1,17 +1,17 @@
 // Pluggable execution backends for functional pipeline runs.
 //
 // A Backend takes a Pipeline description plus an uplink scenario and
-// produces a Slot_result.  Four implementations exist:
+// produces a Slot_result.  Three implementations exist, one per
+// arithmetic family plus the simulator:
 //
 //   Sim_backend        the cycle-approximate fixed-point kernels on the
 //                      simulated many-core cluster (pipeline.cluster());
 //                      reports per-stage cycles and instruction counts
-//   Reference_backend  the double-precision host models (baseline/): no
-//                      cycles, runs in milliseconds - the golden functional
-//                      cross-check and the fast path for scenario sweeps
-//   Parallel_backend   the same host models split across a worker pool with
-//                      the paper's per-kernel decomposition; bit-identical
-//                      to Reference_backend at any worker count
+//   Parallel_backend   the double-precision host models (baseline/) split
+//                      across a worker pool with the paper's per-kernel
+//                      decomposition; no cycles, runs in milliseconds.
+//                      make_backend("reference") is this backend at one
+//                      worker - the golden functional cross-check
 //                      (backend_parallel.h)
 //   Fixed_backend      the sim backend's Q1.15 kernel math (src/fixed/) on a
 //                      host worker pool with optional SIMD; **bit-identical**
@@ -52,22 +52,17 @@ class Backend {
   virtual ~Backend() = default;
   virtual std::string_view name() const = 0;
   virtual bool cycle_accurate() const = 0;
-  virtual Slot_result run_slot(const Pipeline& p,
-                               const phy::Uplink_scenario& sc) = 0;
 
-  // Workspace (_into) slot execution: results land in caller-owned storage
-  // whose capacity is reused across calls.  The host backends implement
-  // this as the primary path (run_slot wraps it); the default forwards to
-  // run_slot for backends whose execution is inherently allocating (the
-  // simulator builds a sim::Machine per slot).  Bit-identical to run_slot
-  // by construction.
+  // Whole-slot execution into caller-owned result storage whose capacity
+  // is reused across calls.  Every field of `out` is overwritten, so a
+  // recycled result equals a fresh one bit for bit.
   virtual void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                             Slot_result& out);
+                             Slot_result& out) = 0;
 
   // Stage-split execution, used by runtime::Slot_scheduler to overlap the
   // front half (FFT + beamforming) of slot n+1 with the back half (CHE, NE,
-  // LMMSE MIMO, demodulation) of slot n.  Contract:
-  // run_back(p, sc, run_front(p, sc)) is bit-identical to run_slot(p, sc).
+  // LMMSE MIMO, demodulation) of slot n.  Contract: run_front_into then
+  // run_back_into on its Slot_front is bit-identical to run_slot_into.
   // Backends that cannot split (the simulator models a whole slot as one
   // launch sequence) keep the default can_split() = false and abort in the
   // split entry points.
@@ -76,11 +71,6 @@ class Backend {
                               Slot_front& out);
   virtual void run_back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                              const Slot_front& front, Slot_result& out);
-
-  // Returning conveniences over the _into forms (tests / one-shot use).
-  Slot_front run_front(const Pipeline& p, const phy::Uplink_scenario& sc);
-  Slot_result run_back(const Pipeline& p, const phy::Uplink_scenario& sc,
-                       Slot_front front);
 
   // High-water bytes held by this backend's slot workspaces (0 when the
   // backend keeps none).  Observability for the growth-then-stable tests;
@@ -94,8 +84,8 @@ class Sim_backend final : public Backend {
   ~Sim_backend() override;
   std::string_view name() const override { return "sim"; }
   bool cycle_accurate() const override { return true; }
-  Slot_result run_slot(const Pipeline& p,
-                       const phy::Uplink_scenario& sc) override;
+  void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
+                     Slot_result& out) override;
   size_t workspace_bytes() const override;
 
  private:
@@ -104,37 +94,17 @@ class Sim_backend final : public Backend {
   std::unique_ptr<Ws> ws_;
 };
 
-class Reference_backend final : public Backend {
- public:
-  std::string_view name() const override { return "reference"; }
-  bool cycle_accurate() const override { return false; }
-  Slot_result run_slot(const Pipeline& p,
-                       const phy::Uplink_scenario& sc) override;
-  void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                     Slot_result& out) override;
-  bool can_split() const override { return true; }
-  void run_front_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                      Slot_front& out) override;
-  void run_back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                     const Slot_front& front, Slot_result& out) override;
-  size_t workspace_bytes() const override;
-
- private:
-  phy::Front_ws front_ws_;
-  phy::Back_ws back_ws_;
-  common::Ws_grid<phy::cd> beams_;  // fused-path beam grid
-};
-
 // Fills `out.stages` with the per-stage launch counts the sim backend would
 // perform for this pipeline and scenario (FFT gang batching and Cholesky
-// symbol batching included).  Shared by the host backends so all three
-// backends' stage tables line up row by row.
+// symbol batching included).  Shared by the two host backends so their
+// stage tables line up with the simulator's row by row.
 void mirror_sim_stage_runs(const Pipeline& p, const phy::Uplink_config& cfg,
                            Slot_result& out);
 
 // "sim", "reference", "parallel" or "fixed"; aborts on anything else.
 // `intra` is the intra-slot worker count of the "parallel" and "fixed"
-// backends (0 = one worker per hardware thread) and is ignored by the rest.
+// backends (0 = one worker per hardware thread) and is ignored by the rest:
+// "reference" is the parallel backend at one worker, under its own name.
 std::unique_ptr<Backend> make_backend(std::string_view name,
                                       uint32_t intra = 0);
 

@@ -46,13 +46,6 @@ bool Fixed_backend::simd_active() const {
   return simd_ && fixed::simd_available();
 }
 
-Slot_result Fixed_backend::run_slot(const Pipeline& p,
-                                    const phy::Uplink_scenario& sc) {
-  Slot_result out;
-  run_slot_into(p, sc, out);
-  return out;
-}
-
 void Fixed_backend::run_slot_into(const Pipeline& p,
                                   const phy::Uplink_scenario& sc,
                                   Slot_result& out) {

@@ -54,13 +54,11 @@ class Fixed_backend final : public Backend {
   // host; false means every kernel runs its scalar loops.
   bool simd_active() const;
 
-  Slot_result run_slot(const Pipeline& p,
-                       const phy::Uplink_scenario& sc) override;
   void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                      Slot_result& out) override;
   // Stage-split entry points (scheduler stage pipelining), cut at the beam
-  // grid like the other host backends: run_back(run_front()) is
-  // bit-identical to run_slot().
+  // grid like the parallel backend: the split is bit-identical to the
+  // whole slot.
   bool can_split() const override { return true; }
   void run_front_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                       Slot_front& out) override;

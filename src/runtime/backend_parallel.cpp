@@ -10,7 +10,7 @@
 // tile's arithmetic is independent of the partition, and floating-point
 // reductions are never accumulated concurrently - per-element terms are
 // stored and summed serially in slot order afterwards.  The result is
-// therefore bit-identical to Reference_backend at any worker count;
+// therefore bit-identical to phy::golden_receive at any worker count;
 // tests/test_backend_parallel.cpp pins that over a scenario grid.
 #include <cmath>
 
@@ -155,13 +155,6 @@ void run_mimo_stage(Thread_pool& pool, const phy::Uplink_scenario& sc,
 
 }  // namespace
 
-Slot_result Parallel_backend::run_slot(const Pipeline& p,
-                                       const phy::Uplink_scenario& sc) {
-  Slot_result out;
-  run_slot_into(p, sc, out);
-  return out;
-}
-
 void Parallel_backend::run_slot_into(const Pipeline& p,
                                      const phy::Uplink_scenario& sc,
                                      Slot_result& out) {
@@ -215,7 +208,7 @@ void Parallel_backend::back_into(const Pipeline& p,
                  evm_terms_, mimo_ws_);
 
   // 6) Demodulation (parallel per UE) + the shared serial epilogue.
-  out.backend = "parallel";
+  out.backend = name_;
   out.bits.resize(cfg.n_ue);
   pool_.parallel_for(cfg.n_ue, [&](uint64_t l) {
     phy::qam_demodulate_into(cfg.qam, out.symbols[l], out.bits[l]);

@@ -1,8 +1,8 @@
 // Intra-slot parallel host backend (the paper's core mapping on the host).
 //
-// Parallel_backend runs the same double-precision receive chain as
-// Reference_backend, but splits every kernel across a persistent
-// common::Thread_pool the way §IV maps it onto cores:
+// Parallel_backend runs the double-precision receive chain of
+// phy::golden_receive, split across a persistent common::Thread_pool the
+// way §IV maps each kernel onto cores:
 //
 //   OFDM FFT     per-symbol fan-out over the antenna transforms; when there
 //                are fewer antennas than workers, each FFT is instead
@@ -18,12 +18,16 @@
 //
 // Determinism contract (pinned by tests/test_backend_parallel.cpp and
 // documented in docs/DETERMINISM.md): the result is bit-identical to
-// Reference_backend for any worker count.  Workers own statically-sliced
+// phy::golden_receive for any worker count.  Workers own statically-sliced
 // disjoint output tiles whose arithmetic matches the serial loop exactly,
 // and every floating-point reduction (EVM, noise estimate) is accumulated
-// serially in slot order after the parallel region.
+// serially in slot order after the parallel region.  At one worker every
+// dispatch runs inline on the calling thread: make_backend("reference")
+// is that configuration, reporting itself as "reference".
 #ifndef PUSCHPOOL_RUNTIME_BACKEND_PARALLEL_H
 #define PUSCHPOOL_RUNTIME_BACKEND_PARALLEL_H
+
+#include <string>
 
 #include "common/thread_pool.h"
 #include "runtime/backend.h"
@@ -32,22 +36,22 @@ namespace pp::runtime {
 
 class Parallel_backend final : public Backend {
  public:
-  // 0 = one worker per hardware thread.  The pool persists across
-  // run_slot() calls, so per-slot dispatch cost stays at one wake-up.
-  explicit Parallel_backend(uint32_t workers = 0)
-      : pool_(workers), mimo_ws_(pool_.workers()) {}
+  // 0 = one worker per hardware thread.  The pool persists across slots,
+  // so per-slot dispatch cost stays at one wake-up.  `name` is what name()
+  // and Slot_result::backend report.
+  explicit Parallel_backend(uint32_t workers = 0,
+                            std::string_view name = "parallel")
+      : name_(name), pool_(workers), mimo_ws_(pool_.workers()) {}
 
-  std::string_view name() const override { return "parallel"; }
+  std::string_view name() const override { return name_; }
   bool cycle_accurate() const override { return false; }
   uint32_t workers() const { return pool_.workers(); }
 
-  Slot_result run_slot(const Pipeline& p,
-                       const phy::Uplink_scenario& sc) override;
   void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                      Slot_result& out) override;
   // Stage-split entry points (scheduler stage pipelining): the same code
-  // paths as run_slot(), cut at the beam-grid boundary, so
-  // run_back(run_front()) stays bit-identical to run_slot().
+  // paths as run_slot_into(), cut at the beam-grid boundary, so the split
+  // stays bit-identical to the whole slot.
   bool can_split() const override { return true; }
   void run_front_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                       Slot_front& out) override;
@@ -61,6 +65,7 @@ class Parallel_backend final : public Backend {
   void back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                  const common::Ws_grid<phy::cd>& beams, Slot_result& out);
 
+  std::string name_;
   common::Thread_pool pool_;
 
   // Slot workspaces (grow-then-stabilize; every buffer fully overwritten

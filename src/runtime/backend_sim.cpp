@@ -1,6 +1,6 @@
 // Functional slot execution on the cycle-approximate simulated cluster.
 //
-// Port of the original pusch::run_sim_uplink, driven by the Pipeline
+// The receive chain on the simulated kernels, driven by the Pipeline
 // description: stage kernels come from the registry, block-rescaling
 // factors and Cholesky symbol-batching come from the Stage_specs, and all
 // kernels are driven through the uniform runtime::Kernel lifecycle.  Between
@@ -65,8 +65,9 @@ Sim_backend::~Sim_backend() = default;
 
 size_t Sim_backend::workspace_bytes() const { return ws_->footprint_bytes(); }
 
-Slot_result Sim_backend::run_slot(const Pipeline& p,
-                                  const phy::Uplink_scenario& sc) {
+void Sim_backend::run_slot_into(const Pipeline& p,
+                                const phy::Uplink_scenario& sc,
+                                Slot_result& out) {
   const auto& cfg = sc.config();
   const auto& cluster = p.cluster();
   PP_CHECK(cfg.n_sc == cfg.fft_size,
@@ -107,9 +108,10 @@ Slot_result Sim_backend::run_slot(const Pipeline& p,
   sim::Machine m(cluster);
   arch::L1_alloc alloc(m.config());
 
-  Slot_result out;
+  // `out` may be a recycled result: the stage counters accumulate with +=,
+  // so every row restarts from zero.
   out.backend = "sim";
-  out.stages.resize(p.stages().size());
+  out.stages.assign(p.stages().size(), Slot_result::Stage{});
   for (size_t i = 0; i < p.stages().size(); ++i) {
     out.stages[i].name = p.stages()[i].name;
   }
@@ -226,6 +228,7 @@ Slot_result Sim_backend::run_slot(const Pipeline& p,
   gram->bind_scalar("sigma2", sigma2_hat);
   out.bits.resize(cfg.n_ue);
   std::vector<std::vector<cd>> eq(cfg.n_ue);  // equalized symbols
+  std::vector<cd> x;  // one sub-carrier's dequantized solution
   double evm_acc = 0.0;
   uint64_t evm_cnt = 0;
 
@@ -278,7 +281,7 @@ Slot_result Sim_backend::run_slot(const Pipeline& p,
     for (uint32_t b = 0; b < batch; ++b) {
       const uint32_t s = s0 + b;
       for (uint32_t scx = 0; scx < n; ++scx) {
-        const auto x = dequantize(solve->fetch("x", b * n + scx), s_rhs);
+        dequantize_into(solve->fetch("x", b * n + scx), s_rhs, x);
         for (uint32_t l = 0; l < cfg.n_ue; ++l) {
           const cd sym = x[l] / cfg.ue_power;
           eq[l].push_back(sym);
@@ -303,7 +306,6 @@ Slot_result Sim_backend::run_slot(const Pipeline& p,
   }
   out.ber = static_cast<double>(nerr) / static_cast<double>(nbits);
   out.symbols = std::move(eq);
-  return out;
 }
 
 }  // namespace pp::runtime

@@ -7,14 +7,13 @@
 //
 //   measure()   analytic roll-up: run one instance of every stage on the
 //               simulated cluster and scale by its repetition count (the
-//               paper's Fig. 9c methodology; replaces the old
-//               pusch::run_use_case internals)
+//               paper's Fig. 9c methodology)
 //   execute()   functional slot execution: stream an uplink scenario through
 //               the stages on a pluggable Backend (backend.h) - the
-//               cycle-approximate simulator ("sim") or the double-precision
-//               host models, serial ("reference") or intra-slot parallel
-//               ("parallel") - and score EVM/BER against the transmitted
-//               data
+//               cycle-approximate simulator ("sim"), the double-precision
+//               host models ("parallel", or "reference" at one worker) or
+//               the simulator's Q15 arithmetic on the host ("fixed") - and
+//               score EVM/BER against the transmitted data
 //
 // Presets for the paper's use case and the end-to-end uplink slot live in
 // presets.h.
@@ -181,12 +180,13 @@ class Pipeline {
   Rollup_result measure(uint64_t seed = 2023) const;
   Rollup_result measure(const Measure_options& opt) const;
 
-  // Functional slot execution on the given backend.
+  // Functional slot execution on the given backend: execute_into() into a
+  // fresh result.
   Slot_result execute(const phy::Uplink_scenario& sc, Backend& backend) const;
 
   // execute() into caller-owned result storage (capacity reused across
-  // slots); forwards to Backend::run_slot_into.  Bit-identical to
-  // execute() - the serving loop's zero-allocation entry point.
+  // slots); forwards to Backend::run_slot_into - the serving loop's
+  // zero-allocation entry point.
   void execute_into(const phy::Uplink_scenario& sc, Backend& backend,
                     Slot_result& out) const;
 

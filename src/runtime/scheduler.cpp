@@ -509,6 +509,8 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
     out.groups[g].shard = shard_of_group[g];
     ++out.shards[shard_of_group[g]].groups;
   }
+  // Each job is counted once, on its group; the shard and global roll-ups
+  // are folded from the groups afterwards.
   std::vector<double> group_evm2(out.groups.size(), 0.0);
   std::vector<double> group_ber(out.groups.size(), 0.0);
   std::vector<double> group_sigma2(out.groups.size(), 0.0);
@@ -517,30 +519,16 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
     const Admission_verdict& v = verdicts[i];
     PP_CHECK(job.group < out.groups.size(), "slot job group out of range");
     auto& grp = out.groups[job.group];
-    auto& shard = out.shards[v.shard];
     ++grp.slots;
-    ++shard.slots;
-    if (attempt[i] > 0) {
-      // A retransmission job, admitted or not, is offered load the HARQ
-      // loop generated.
-      ++grp.harq_retx;
-      ++shard.harq_retx;
-      ++out.harq_retx;
-    }
+    // A retransmission job, admitted or not, is offered load the HARQ loop
+    // generated.
+    if (attempt[i] > 0) ++grp.harq_retx;
     if (v.outcome == Admission_verdict::Outcome::dropped) {
       ++grp.dropped;
-      ++shard.dropped;
-      ++out.dropped;
       continue;
     }
     ++grp.admitted;
-    ++shard.admitted;
-    ++out.admitted;
-    if (v.outcome == Admission_verdict::Outcome::degraded) {
-      ++grp.degraded;
-      ++shard.degraded;
-      ++out.degraded;
-    }
+    if (v.outcome == Admission_verdict::Outcome::degraded) ++grp.degraded;
     const Slot_stats& s = stats[i];
     group_evm2[job.group] += s.evm * s.evm;
     group_ber[job.group] += s.ber;
@@ -550,26 +538,16 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
 
     const double latency = completion_s[i] - job.arrival_s;
     grp.latency.record(latency);
-    shard.latency.record(latency);
     if (!opt_.virtual_only) {
       out.wall_service.record(wall_service[i]);
       out.wall_synth.record(wall_synth[i]);
     }
     out.virtual_makespan_s = std::max(out.virtual_makespan_s, completion_s[i]);
     if (job.budget_s > 0.0) {
-      ++out.deadline_slots;
       ++grp.deadline_slots;
-      ++shard.deadline_slots;
-      if (latency > job.budget_s) {
-        ++out.deadline_misses;
-        ++grp.deadline_misses;
-        ++shard.deadline_misses;
-      }
+      if (latency > job.budget_s) ++grp.deadline_misses;
     }
   }
-  // Global latency = exact bucket-wise merge of the shard histograms, in
-  // shard order (merging is commutative, so the order is cosmetic).
-  for (const auto& shard : out.shards) out.latency.merge(shard.latency);
   for (size_t g = 0; g < out.groups.size(); ++g) {
     auto& grp = out.groups[g];
     if (grp.admitted > 0) {
@@ -588,100 +566,61 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
       const bool passed =
           blocks[p].decoded() && blocks[p].best_ber() <= opt_.harq_ber;
       auto& grp = out.groups[jobs[p].group];
-      auto& shard = out.shards[verdicts[p].shard];
-      if (passed) {
-        ++grp.harq_recovered;
-        ++shard.harq_recovered;
-        ++out.harq_recovered;
-      } else {
-        ++grp.harq_exhausted;
-        ++shard.harq_exhausted;
-        ++out.harq_exhausted;
-      }
+      ++(passed ? grp.harq_recovered : grp.harq_exhausted);
     }
   }
+  for (const auto& grp : out.groups) out.shards[grp.shard] += grp;
+  for (const auto& shard : out.shards) out += shard;
   out.harq = std::move(harq_log);
   if (opt_.keep_slots) out.slots = std::move(slots);
   return out;
 }
 
+Serving_counters& Serving_counters::operator+=(const Serving_counters& o) {
+  slots += o.slots;
+  admitted += o.admitted;
+  dropped += o.dropped;
+  degraded += o.degraded;
+  deadline_slots += o.deadline_slots;
+  deadline_misses += o.deadline_misses;
+  latency.merge(o.latency);
+  harq_retx += o.harq_retx;
+  harq_recovered += o.harq_recovered;
+  harq_exhausted += o.harq_exhausted;
+  return *this;
+}
+
+namespace {
+
+// The one comparison behind deterministic_equal and scenario_equal;
+// `numerics` adds the fields that differ between arithmetic families (EVM,
+// sigma2_hat and simulated cycles).
+bool surfaces_equal(const Schedule_result& a, const Schedule_result& b,
+                    bool numerics) {
+  const auto group_equal = [&](const Schedule_result::Group& x,
+                               const Schedule_result::Group& y) {
+    return static_cast<const Serving_counters&>(x) == y &&
+           x.label == y.label && x.shard == y.shard && x.ber == y.ber &&
+           (!numerics || (x.evm == y.evm && x.sigma2_hat == y.sigma2_hat &&
+                          x.cycles == y.cycles));
+  };
+  return std::equal(a.groups.begin(), a.groups.end(), b.groups.begin(),
+                    b.groups.end(), group_equal) &&
+         a.shards == b.shards &&
+         static_cast<const Serving_counters&>(a) == b && a.harq == b.harq &&
+         a.virtual_makespan_s == b.virtual_makespan_s &&
+         a.total_slots == b.total_slots &&
+         (!numerics || a.total_cycles == b.total_cycles);
+}
+
+}  // namespace
+
 bool Schedule_result::deterministic_equal(const Schedule_result& o) const {
-  if (groups.size() != o.groups.size()) return false;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    const Group& a = groups[g];
-    const Group& b = o.groups[g];
-    if (a.label != b.label || a.shard != b.shard || a.slots != b.slots ||
-        a.evm != b.evm || a.ber != b.ber || a.sigma2_hat != b.sigma2_hat ||
-        a.cycles != b.cycles || a.admitted != b.admitted ||
-        a.dropped != b.dropped || a.degraded != b.degraded ||
-        a.deadline_slots != b.deadline_slots ||
-        a.deadline_misses != b.deadline_misses ||
-        a.harq_retx != b.harq_retx || a.harq_recovered != b.harq_recovered ||
-        a.harq_exhausted != b.harq_exhausted || !(a.latency == b.latency)) {
-      return false;
-    }
-  }
-  if (shards.size() != o.shards.size()) return false;
-  for (size_t s = 0; s < shards.size(); ++s) {
-    const Shard& a = shards[s];
-    const Shard& b = o.shards[s];
-    if (a.groups != b.groups || a.slots != b.slots ||
-        a.admitted != b.admitted || a.dropped != b.dropped ||
-        a.degraded != b.degraded || a.deadline_slots != b.deadline_slots ||
-        a.deadline_misses != b.deadline_misses ||
-        a.harq_retx != b.harq_retx || a.harq_recovered != b.harq_recovered ||
-        a.harq_exhausted != b.harq_exhausted || !(a.latency == b.latency)) {
-      return false;
-    }
-  }
-  return latency == o.latency && harq == o.harq && admitted == o.admitted &&
-         dropped == o.dropped && degraded == o.degraded &&
-         deadline_slots == o.deadline_slots &&
-         deadline_misses == o.deadline_misses &&
-         harq_retx == o.harq_retx && harq_recovered == o.harq_recovered &&
-         harq_exhausted == o.harq_exhausted &&
-         virtual_makespan_s == o.virtual_makespan_s &&
-         total_slots == o.total_slots && total_cycles == o.total_cycles;
+  return surfaces_equal(*this, o, true);
 }
 
 bool Schedule_result::scenario_equal(const Schedule_result& o) const {
-  if (groups.size() != o.groups.size()) return false;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    const Group& a = groups[g];
-    const Group& b = o.groups[g];
-    // No evm / sigma2_hat / cycles: those legitimately differ between
-    // arithmetic families; BER and everything scheduled from it must not.
-    if (a.label != b.label || a.shard != b.shard || a.slots != b.slots ||
-        a.ber != b.ber || a.admitted != b.admitted ||
-        a.dropped != b.dropped || a.degraded != b.degraded ||
-        a.deadline_slots != b.deadline_slots ||
-        a.deadline_misses != b.deadline_misses ||
-        a.harq_retx != b.harq_retx || a.harq_recovered != b.harq_recovered ||
-        a.harq_exhausted != b.harq_exhausted || !(a.latency == b.latency)) {
-      return false;
-    }
-  }
-  if (shards.size() != o.shards.size()) return false;
-  for (size_t s = 0; s < shards.size(); ++s) {
-    const Shard& a = shards[s];
-    const Shard& b = o.shards[s];
-    if (a.groups != b.groups || a.slots != b.slots ||
-        a.admitted != b.admitted || a.dropped != b.dropped ||
-        a.degraded != b.degraded || a.deadline_slots != b.deadline_slots ||
-        a.deadline_misses != b.deadline_misses ||
-        a.harq_retx != b.harq_retx || a.harq_recovered != b.harq_recovered ||
-        a.harq_exhausted != b.harq_exhausted || !(a.latency == b.latency)) {
-      return false;
-    }
-  }
-  return latency == o.latency && harq == o.harq && admitted == o.admitted &&
-         dropped == o.dropped && degraded == o.degraded &&
-         deadline_slots == o.deadline_slots &&
-         deadline_misses == o.deadline_misses &&
-         harq_retx == o.harq_retx && harq_recovered == o.harq_recovered &&
-         harq_exhausted == o.harq_exhausted &&
-         virtual_makespan_s == o.virtual_makespan_s &&
-         total_slots == o.total_slots;
+  return surfaces_equal(*this, o, false);
 }
 
 std::string Schedule_result::str() const {

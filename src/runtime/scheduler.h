@@ -1,9 +1,8 @@
 // Streaming slot scheduler: deadline-aware execution of slot jobs from
 // pluggable sources.
 //
-// This is the execution core that used to live inside Sweep_runner,
-// generalized from "walk a fixed cartesian grid" to "pull slot jobs from a
-// Slot_source":
+// The execution core behind every batch sweep and serving run: it pulls
+// slot jobs from a Slot_source.
 //
 //   Slot_source       pure-function job stream: job(i) depends only on the
 //                     source's configuration and the index i, and arrival
@@ -12,8 +11,8 @@
 //                     (traffic.h) generates stochastic multi-cell uplink
 //                     traffic with Poisson arrivals.
 //   Slot_scheduler    a worker pool pulling job indices from an atomic
-//                     cursor, one private Backend per worker (exactly the
-//                     old sweep engine); optionally stage-pipelined: each
+//                     cursor, one private Backend per worker; optionally
+//                     stage-pipelined: each
 //                     worker becomes a front thread (OFDM FFT + beamforming
 //                     of slot n+1) and a back thread (CHE/NE/LMMSE MIMO of
 //                     slot n) connected by a double buffer, composing with
@@ -84,7 +83,7 @@ class Slot_source {
 struct Scheduler_options {
   uint32_t workers = 0;  // slot-level workers; 0 = hardware_concurrency
   std::string backend = "reference";  // make_backend() name
-  uint32_t intra = 1;    // intra-slot workers ("parallel" backend only)
+  uint32_t intra = 1;    // intra-slot workers ("parallel" and "fixed")
   // Stage-pipelined execution: overlap the front half of slot n+1 with the
   // back half of slot n (2 threads per worker, double-buffered hand-off).
   // Silently ignored when the backend cannot split (Backend::can_split());
@@ -156,41 +155,45 @@ struct Scheduler_options {
   bool analytic_service = false;
 };
 
-struct Schedule_result {
-  struct Group {
+// The serving roll-up counters, kept once per group, once per shard and
+// once for the whole run.  The scheduler counts each job once, on its
+// group, then folds groups into their shard and shards into the totals with
+// +=; that is exact because a group's jobs all run on the group's shard.
+struct Serving_counters {
+  uint64_t slots = 0;            // jobs placed (admitted + dropped)
+  uint64_t admitted = 0;         // executed as planned or degraded
+  uint64_t dropped = 0;          // shed by the admission controller
+  uint64_t degraded = 0;         // admitted with fewer UE layers
+  uint64_t deadline_slots = 0;   // executed slots that carried a budget
+  uint64_t deadline_misses = 0;  // virtual latency above the budget
+  Latency_histogram latency;     // virtual-time latency of executed slots
+  uint64_t harq_retx = 0;        // retransmission jobs generated
+  uint64_t harq_recovered = 0;   // blocks that failed, retried and passed
+  uint64_t harq_exhausted = 0;   // blocks still failing after max_harq
+
+  // Field-wise sums; the histograms merge bucket-wise (exact).
+  Serving_counters& operator+=(const Serving_counters& o);
+  bool operator==(const Serving_counters&) const = default;
+};
+
+// The totals are the Serving_counters base.  Its `slots` job count is hidden
+// by the per-slot result vector of the same name; total_slots repeats it.
+struct Schedule_result : Serving_counters {
+  struct Group : Serving_counters {
     std::string label;
     uint32_t shard = 0;       // shard this group's cell was placed on
-    uint32_t slots = 0;       // jobs placed (admitted + dropped)
     double evm = 0.0;         // rms over the group's executed slots
     double ber = 0.0;         // mean over the group's executed slots
     double sigma2_hat = 0.0;  // mean NE output
     uint64_t cycles = 0;      // summed simulated cycles (0 on host backends)
-    uint64_t admitted = 0;    // executed as planned or degraded
-    uint64_t dropped = 0;     // shed by the admission controller
-    uint64_t degraded = 0;    // admitted with fewer UE layers
-    uint64_t deadline_slots = 0;   // executed slots that carried a budget
-    uint64_t deadline_misses = 0;  // virtual latency above the budget
-    Latency_histogram latency;     // virtual-time latency of these slots
-    uint64_t harq_retx = 0;       // retransmission jobs this group generated
-    uint64_t harq_recovered = 0;  // blocks that failed, retried and passed
-    uint64_t harq_exhausted = 0;  // blocks still failing after max_harq
   };
   std::vector<Group> groups;
 
   // Per-shard serving roll-up (one entry per scheduler shard; a single
   // entry when the engine runs unsharded).
-  struct Shard {
-    uint32_t groups = 0;      // cells placed on this shard
-    uint64_t slots = 0;       // jobs placed (admitted + dropped)
-    uint64_t admitted = 0;
-    uint64_t dropped = 0;
-    uint64_t degraded = 0;
-    uint64_t deadline_slots = 0;
-    uint64_t deadline_misses = 0;
-    Latency_histogram latency;  // this shard's virtual-clock latencies
-    uint64_t harq_retx = 0;
-    uint64_t harq_recovered = 0;
-    uint64_t harq_exhausted = 0;
+  struct Shard : Serving_counters {
+    uint32_t groups = 0;  // cells placed on this shard
+    bool operator==(const Shard&) const = default;
   };
   std::vector<Shard> shards;
 
@@ -218,17 +221,6 @@ struct Schedule_result {
   // dropped slots keep a default-constructed Slot_result).
   std::vector<Slot_result> slots;
 
-  // Virtual-time (deterministic) latency surface.  The global histogram is
-  // the exact bucket-wise merge of the per-shard histograms.
-  Latency_histogram latency;   // all executed slots
-  uint64_t admitted = 0;
-  uint64_t dropped = 0;
-  uint64_t degraded = 0;
-  uint64_t deadline_slots = 0;
-  uint64_t deadline_misses = 0;
-  uint64_t harq_retx = 0;       // retransmission jobs generated
-  uint64_t harq_recovered = 0;  // failed blocks a retransmission rescued
-  uint64_t harq_exhausted = 0;  // blocks still failing after max_harq
   double virtual_makespan_s = 0.0;  // last completion on any shard's clock
 
   // Host-dependent surface, recorded for every executed slot (none under

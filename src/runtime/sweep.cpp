@@ -1,7 +1,6 @@
 #include "runtime/sweep.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "common/check.h"
 #include "common/table.h"
@@ -28,9 +27,9 @@ uint64_t Sweep_grid::n_points() const {
          qam_orders.size() * snr_db.size();
 }
 
-phy::Uplink_config Sweep_runner::slot_config(const Sweep_grid& grid,
-                                             const Sweep_point& point,
-                                             uint64_t slot_index) {
+phy::Uplink_config Grid_source::slot_config(const Sweep_grid& grid,
+                                            const Sweep_point& point,
+                                            uint64_t slot_index) {
   PP_CHECK(grid.n_symb > grid.n_pilot_symb,
            "sweep grid needs at least one data symbol after the pilots");
   phy::Uplink_config c;
@@ -49,7 +48,7 @@ phy::Uplink_config Sweep_runner::slot_config(const Sweep_grid& grid,
   c.ue_power = grid.ue_power;
   c.channel_gain = grid.channel_gain;
   c.coherence = grid.coherence;
-  c.seed = slot_seed(grid.base_seed, slot_index);
+  c.seed = common::Rng::derive_seed(grid.base_seed, slot_index);
   c.profile = grid.profile;
   c.doppler_hz = grid.doppler_hz;
   c.delay_spread = grid.delay_spread;
@@ -74,78 +73,12 @@ Slot_job Grid_source::job(uint64_t index) const {
   Slot_job job;
   job.index = index;
   job.group = static_cast<uint32_t>(index / grid_.slots_per_point);
-  job.cfg = Sweep_runner::slot_config(grid_, points_[job.group], index);
+  job.cfg = slot_config(grid_, points_[job.group], index);
   // Batch semantics: everything is available up front and nothing carries a
   // deadline - the virtual-time model reduces to plain utilization.
   job.arrival_s = 0.0;
   job.budget_s = 0.0;
   return job;
-}
-
-Sweep_runner::Sweep_runner(Sweep_options opt) : opt_(std::move(opt)) {}
-
-Sweep_result Sweep_runner::run(const Sweep_grid& grid) const {
-  Scheduler_options sopt;
-  sopt.workers = opt_.workers;
-  sopt.backend = opt_.backend;
-  sopt.intra = opt_.intra;
-  sopt.cluster = opt_.cluster;
-  sopt.uplink = opt_.uplink;
-  sopt.keep_slots = opt_.keep_slots;
-  sopt.sim_shards = opt_.sim_shards;
-
-  const Grid_source source(grid);
-  Schedule_result sched = Slot_scheduler(sopt).run(source);
-
-  // Re-shape the scheduler's group roll-up into the historical per-point
-  // result.  The group aggregation walks slots in index order with the same
-  // formulas the pre-refactor engine used, so every field is bit-identical.
-  Sweep_result out;
-  out.backend = opt_.backend;
-  out.workers = sched.workers;
-  out.total_slots = sched.total_slots;
-  out.total_cycles = sched.total_cycles;
-  out.wall_seconds = sched.wall_seconds;
-  const std::vector<Sweep_point> points = grid.points();
-  out.points.resize(points.size());
-  for (size_t p = 0; p < points.size(); ++p) {
-    auto& row = out.points[p];
-    row.point = points[p];
-    row.slots = grid.slots_per_point;
-    if (p < sched.groups.size()) {
-      const auto& grp = sched.groups[p];
-      row.evm = grp.evm;
-      row.ber = grp.ber;
-      row.sigma2_hat = grp.sigma2_hat;
-      row.cycles = grp.cycles;
-    }
-  }
-  if (opt_.keep_slots) out.slots = std::move(sched.slots);
-  return out;
-}
-
-std::string Sweep_result::str() const {
-  common::Table t({"fft", "UEs", "QAM", "SNR dB", "slots", "EVM %", "BER",
-                   "sigma2^", "cycles"});
-  for (const auto& row : points) {
-    t.add_row({common::Table::fmt(static_cast<uint64_t>(row.point.fft_size)),
-               common::Table::fmt(static_cast<uint64_t>(row.point.n_ue)),
-               common::Table::fmt(static_cast<uint64_t>(row.point.qam)),
-               common::Table::fmt(row.point.snr_db, 1),
-               common::Table::fmt(static_cast<uint64_t>(row.slots)),
-               common::Table::fmt(100.0 * row.evm, 2),
-               common::Table::fmt(row.ber, 5),
-               common::Table::fmt(row.sigma2_hat, 8),
-               common::Table::fmt(row.cycles)});
-  }
-  char footer[160];
-  std::snprintf(footer, sizeof footer,
-                "%llu slots on the %s backend, %u worker%s: %.3f s wall, "
-                "%.1f slots/s\n",
-                static_cast<unsigned long long>(total_slots), backend.c_str(),
-                workers, workers == 1 ? "" : "s", wall_seconds,
-                slots_per_second());
-  return t.str() + footer;
 }
 
 }  // namespace pp::runtime

@@ -1,29 +1,18 @@
-// Scenario sweep grids and the batch-sweep compatibility wrapper.
+// Scenario sweep grids as a slot source.
 //
 // A Sweep_grid spans a scenario space - numerologies (FFT size = active
 // sub-carriers), UE counts, QAM orders, SNR points - with `slots_per_point`
-// independently-faded slots per grid point.  Since the scheduler refactor
-// the execution core lives in runtime::Slot_scheduler (scheduler.h): this
-// header contributes
+// independently-faded slots per grid point.  Grid_source turns the grid
+// into a batch job stream for runtime::Slot_scheduler (scheduler.h): every
+// job arrives at t = 0, carries no deadline, and groups by grid point, so
+// Schedule_result::groups holds one row per point in points() order.
 //
-//   Grid_source    the thin Slot_source adapter that turns the grid into a
-//                  batch job stream (every job arrives at t = 0, carries no
-//                  deadline, and groups by grid point)
-//   Sweep_runner   the original batch API, now a compatibility wrapper:
-//                  Grid_source + Slot_scheduler + the point roll-up, with
-//                  results bit-identical to the pre-refactor engine
-//                  (tests/test_scheduler.cpp pins the parity)
-//
-// The determinism contract is unchanged: each slot is generated from a seed
-// derived purely from (base_seed, slot_index) (common::Rng::derive_seed -
+// The determinism contract: each slot is generated from a seed derived
+// purely from (base_seed, slot_index) (common::Rng::derive_seed -
 // SplitMix64), and aggregation walks slots in index order, so any
 // (workers, intra) combination is bit-identical to the serial run
-// (docs/DETERMINISM.md).
-//
-// Driven by name through the registry/preset layer: the pipeline is the
-// uplink_pipeline() preset over a named cluster, the backend comes from
-// make_backend("sim"|"reference"|"parallel").  examples/pusch_sweep.cpp is
-// the CLI, bench/bench_throughput_sweep.cpp the throughput harness.
+// (docs/DETERMINISM.md).  examples/pusch_sweep.cpp is the CLI,
+// bench/bench_throughput_sweep.cpp the throughput harness.
 #ifndef PUSCHPOOL_RUNTIME_SWEEP_H
 #define PUSCHPOOL_RUNTIME_SWEEP_H
 
@@ -86,6 +75,14 @@ class Grid_source final : public Slot_source {
 
   const Sweep_grid& grid() const { return grid_; }
 
+  // Full scenario config of one slot: grid knobs + point axes + derived
+  // noise (sigma2 = n_ue * (channel_gain * ue_power)^2 * 10^(-snr/10), the
+  // per-antenna signal power of the Rayleigh model) + the slot seed
+  // Rng::derive_seed(grid.base_seed, slot_index).
+  static phy::Uplink_config slot_config(const Sweep_grid& grid,
+                                        const Sweep_point& point,
+                                        uint64_t slot_index);
+
   std::string_view name() const override { return "grid"; }
   uint64_t n_slots() const override { return grid_.n_slots(); }
   uint32_t n_groups() const override {
@@ -97,71 +94,6 @@ class Grid_source final : public Slot_source {
  private:
   Sweep_grid grid_;
   std::vector<Sweep_point> points_;
-};
-
-struct Sweep_options {
-  uint32_t workers = 0;  // slot-level workers; 0 = hardware_concurrency (min 1)
-  std::string backend = "reference";  // make_backend() name
-  // Intra-slot workers per backend instance ("parallel" backend only,
-  // 0 = hardware_concurrency).  Total threads ~= workers * intra; pick
-  // workers * intra <= host cores when composing both levels.
-  uint32_t intra = 1;
-  arch::Cluster_config cluster = arch::Cluster_config::minipool();
-  Uplink_options uplink;  // preset knobs (FFT gangs, Cholesky batching)
-  bool keep_slots = true;  // retain per-slot results (the bit-exact surface)
-  // Sim-backend host sharding (Scheduler_options::sim_shards): N concurrent
-  // single-threaded machines, bit-identical for every N.  0 = off.
-  uint32_t sim_shards = 0;
-};
-
-struct Sweep_result {
-  struct Point {
-    Sweep_point point;
-    uint32_t slots = 0;
-    double evm = 0.0;         // rms over the point's slots
-    double ber = 0.0;         // mean over the point's slots
-    double sigma2_hat = 0.0;  // mean NE output
-    uint64_t cycles = 0;      // summed simulated cycles (0 on reference)
-  };
-  std::vector<Point> points;
-  // Per-slot results in grid order (empty when keep_slots is off).
-  std::vector<Slot_result> slots;
-
-  std::string backend;
-  uint32_t workers = 0;
-  uint64_t total_slots = 0;
-  uint64_t total_cycles = 0;  // simulated cycles across all slots
-  double wall_seconds = 0.0;
-  double slots_per_second() const {
-    return wall_seconds > 0.0 ? total_slots / wall_seconds : 0.0;
-  }
-
-  // ASCII table of the per-point curves plus a throughput footer.
-  std::string str() const;
-};
-
-class Sweep_runner {
- public:
-  explicit Sweep_runner(Sweep_options opt = {});
-
-  const Sweep_options& options() const { return opt_; }
-
-  Sweep_result run(const Sweep_grid& grid) const;
-
-  // --- the deterministic seed/config contract (pinned by tests) ---------
-  // Seed of slot `slot_index` of a sweep with the given base seed.
-  static uint64_t slot_seed(uint64_t base_seed, uint64_t slot_index) {
-    return common::Rng::derive_seed(base_seed, slot_index);
-  }
-  // Full scenario config of one slot: grid knobs + point axes + derived
-  // noise (sigma2 = n_ue * (channel_gain * ue_power)^2 * 10^(-snr/10), the
-  // per-antenna signal power of the Rayleigh model) + the slot seed.
-  static phy::Uplink_config slot_config(const Sweep_grid& grid,
-                                        const Sweep_point& point,
-                                        uint64_t slot_index);
-
- private:
-  Sweep_options opt_;
 };
 
 }  // namespace pp::runtime

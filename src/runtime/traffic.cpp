@@ -24,7 +24,7 @@ Traffic_source::Traffic_source(Traffic_config cfg) : cfg_(std::move(cfg)) {
     PP_CHECK(cell.load > 0.0, "cell load must be positive");
   }
 
-  // Slot configs are assembled by Sweep_runner::slot_config - the single
+  // Slot configs are assembled by Grid_source::slot_config - the single
   // implementation of the axes+knobs -> Uplink_config mapping (incl. the
   // Rayleigh sigma2-from-SNR derivation and the derive_seed(base, i) seed
   // contract) - so grid and traffic slots of the same nominal scenario can
@@ -82,7 +82,7 @@ Traffic_source::Traffic_source(Traffic_config cfg) : cfg_(std::move(cfg)) {
     job.group = static_cast<uint32_t>(c);
     job.arrival_s = next_s[c];
     job.budget_s = cell.budget_seconds();
-    job.cfg = Sweep_runner::slot_config(
+    job.cfg = Grid_source::slot_config(
         cell_knobs[c],
         Sweep_point{cell.fft_size, cell.n_ue, cell.qam, cell.snr_db}, i);
     jobs_.push_back(std::move(job));

@@ -2,11 +2,9 @@
 //
 // The sim and fixed host backends move data between the double-precision
 // scenario domain and Q1.15 kernel inputs through the same two primitives:
-// scale-then-saturate quantization and the inverse rescale.  The _into
-// forms write caller-owned storage grown with common::ws_grow, so the
-// per-slot marshaling reuses capacity after warm-up; the returning forms
-// are conveniences for one-shot call sites (tests, kernel binding paths
-// that copy anyway).  Both produce identical values element for element.
+// scale-then-saturate quantization and the inverse rescale.  They write
+// caller-owned storage grown with common::ws_grow, so the per-slot
+// marshaling reuses capacity after warm-up.
 //
 // Between two kernels the slot stays in Q1.15: Q15_rescale moves a
 // producer's output to the consumer's block scale without leaving the
@@ -94,20 +92,6 @@ inline void dequantize_into(const common::cq15* q, size_t n, double scale,
 inline void dequantize_into(const std::vector<common::cq15>& q, double scale,
                             std::vector<std::complex<double>>& x) {
   dequantize_into(q.data(), q.size(), scale, x);
-}
-
-inline std::vector<common::cq15> quantize(
-    std::span<const std::complex<double>> x, double scale) {
-  std::vector<common::cq15> q;
-  quantize_into(x, scale, q);
-  return q;
-}
-
-inline std::vector<std::complex<double>> dequantize(
-    const std::vector<common::cq15>& q, double scale) {
-  std::vector<std::complex<double>> x;
-  dequantize_into(q, scale, x);
-  return x;
 }
 
 }  // namespace pp::runtime

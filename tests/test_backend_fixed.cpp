@@ -85,18 +85,20 @@ TEST(FixedBackend, BitIdenticalToSimAcrossScenarioGridAndWorkers) {
   grid.qam_orders = {phy::Qam::qpsk, phy::Qam::qam16};
   grid.snr_db = {10, 30};
 
-  runtime::Sweep_options sim_opt;
+  runtime::Scheduler_options sim_opt;
   sim_opt.backend = "sim";
   sim_opt.workers = 2;
-  const auto sim = runtime::Sweep_runner(sim_opt).run(grid);
+  const auto sim =
+      runtime::Slot_scheduler(sim_opt).run(runtime::Grid_source(grid));
   ASSERT_EQ(sim.total_slots, 16u);
 
   for (const uint32_t intra : {1u, 2u, 8u}) {
-    runtime::Sweep_options fix_opt;
+    runtime::Scheduler_options fix_opt;
     fix_opt.backend = "fixed";
     fix_opt.workers = 2;  // compose slot-level x intra-slot parallelism
     fix_opt.intra = intra;
-    const auto fix = runtime::Sweep_runner(fix_opt).run(grid);
+    const auto fix =
+        runtime::Slot_scheduler(fix_opt).run(runtime::Grid_source(grid));
     ASSERT_EQ(fix.slots.size(), sim.slots.size());
     for (size_t i = 0; i < sim.slots.size(); ++i) {
       expect_slot_bits_equal(
@@ -104,10 +106,10 @@ TEST(FixedBackend, BitIdenticalToSimAcrossScenarioGridAndWorkers) {
           "slot " + std::to_string(i) + " intra " + std::to_string(intra));
       EXPECT_EQ(fix.slots[i].backend, "fixed");
     }
-    for (size_t p = 0; p < sim.points.size(); ++p) {
-      EXPECT_EQ(sim.points[p].evm, fix.points[p].evm) << "point " << p;
-      EXPECT_EQ(sim.points[p].ber, fix.points[p].ber) << "point " << p;
-      EXPECT_EQ(sim.points[p].sigma2_hat, fix.points[p].sigma2_hat)
+    for (size_t p = 0; p < sim.groups.size(); ++p) {
+      EXPECT_EQ(sim.groups[p].evm, fix.groups[p].evm) << "point " << p;
+      EXPECT_EQ(sim.groups[p].ber, fix.groups[p].ber) << "point " << p;
+      EXPECT_EQ(sim.groups[p].sigma2_hat, fix.groups[p].sigma2_hat)
           << "point " << p;
     }
   }
@@ -138,8 +140,8 @@ TEST(FixedBackend, CooperativeFftPathBitIdenticalToSim) {
 }
 
 TEST(FixedBackend, SplitContractMatchesWholeSlot) {
-  // run_back(run_front()) == run_slot - the contract stage pipelining
-  // rests on (scheduler.h).
+  // run_back_into(run_front_into()) == run_slot_into - the contract stage
+  // pipelining rests on (scheduler.h).
   phy::Uplink_config cfg;
   cfg.n_sc = 64;
   cfg.fft_size = 64;
@@ -155,8 +157,11 @@ TEST(FixedBackend, SplitContractMatchesWholeSlot) {
 
   runtime::Fixed_backend whole(2);
   runtime::Fixed_backend split(2);
-  const auto a = whole.run_slot(pipeline, sc);
-  const auto b = split.run_back(pipeline, sc, split.run_front(pipeline, sc));
+  runtime::Slot_result a, b;
+  runtime::Slot_front front;
+  whole.run_slot_into(pipeline, sc, a);
+  split.run_front_into(pipeline, sc, front);
+  split.run_back_into(pipeline, sc, front, b);
   EXPECT_EQ(a.bits, b.bits);
   EXPECT_EQ(a.evm, b.evm);
   EXPECT_EQ(a.ber, b.ber);

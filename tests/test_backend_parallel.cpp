@@ -1,7 +1,8 @@
 // Parallel_backend determinism and thread-pool tests.
 //
 // The load-bearing guarantee (docs/DETERMINISM.md): the intra-slot parallel
-// host backend is bit-identical to Reference_backend at any worker count -
+// host backend is bit-identical to phy::golden_receive - and so to its own
+// one-worker "reference" configuration - at any worker count -
 // workers own statically-sliced disjoint tiles whose arithmetic matches the
 // serial loops exactly, and floating-point reductions are accumulated
 // serially in slot order.  The grid test below sweeps numerology x UE x QAM
@@ -126,18 +127,20 @@ TEST(ParallelBackend, BitIdenticalToReferenceAcrossScenarioGridAndWorkers) {
   grid.qam_orders = {phy::Qam::qpsk, phy::Qam::qam16};
   grid.snr_db = {10, 20, 30};
 
-  runtime::Sweep_options ref_opt;
+  runtime::Scheduler_options ref_opt;
   ref_opt.backend = "reference";
   ref_opt.workers = 1;
-  const auto ref = runtime::Sweep_runner(ref_opt).run(grid);
+  const auto ref =
+      runtime::Slot_scheduler(ref_opt).run(runtime::Grid_source(grid));
   ASSERT_EQ(ref.total_slots, 24u);
 
   for (const uint32_t intra : {1u, 2u, 8u}) {
-    runtime::Sweep_options par_opt;
+    runtime::Scheduler_options par_opt;
     par_opt.backend = "parallel";
     par_opt.workers = 2;  // compose slot-level x intra-slot parallelism
     par_opt.intra = intra;
-    const auto par = runtime::Sweep_runner(par_opt).run(grid);
+    const auto par =
+        runtime::Slot_scheduler(par_opt).run(runtime::Grid_source(grid));
     ASSERT_EQ(par.slots.size(), ref.slots.size());
     for (size_t i = 0; i < ref.slots.size(); ++i) {
       expect_slot_bits_equal(
@@ -145,10 +148,55 @@ TEST(ParallelBackend, BitIdenticalToReferenceAcrossScenarioGridAndWorkers) {
           "slot " + std::to_string(i) + " intra " + std::to_string(intra));
       EXPECT_EQ(par.slots[i].backend, "parallel");
     }
-    for (size_t p = 0; p < ref.points.size(); ++p) {
-      EXPECT_EQ(ref.points[p].evm, par.points[p].evm) << "point " << p;
-      EXPECT_EQ(ref.points[p].ber, par.points[p].ber) << "point " << p;
+    for (size_t p = 0; p < ref.groups.size(); ++p) {
+      EXPECT_EQ(ref.groups[p].evm, par.groups[p].evm) << "point " << p;
+      EXPECT_EQ(ref.groups[p].ber, par.groups[p].ber) << "point " << p;
     }
+  }
+}
+
+TEST(ParallelBackend, ReferenceIsGoldenReceiveBitForBit) {
+  // phy::golden_receive is the serial oracle no backend calls: pin the
+  // "reference" backend to it in bits, equalized symbols, EVM, BER and
+  // sigma2_hat over numerology x UE count x channel profile, plus one HARQ
+  // retransmission slot.
+  const auto pipeline =
+      runtime::uplink_pipeline(arch::Cluster_config::minipool());
+  const auto backend = runtime::make_backend("reference");
+  std::vector<phy::Uplink_config> cfgs;
+  for (const uint32_t fft : {16u, 64u, 256u}) {
+    for (const uint32_t ue : {1u, 2u, 4u}) {
+      for (const auto profile :
+           {phy::Channel_profile::flat, phy::Channel_profile::tdl_a,
+            phy::Channel_profile::tdl_c}) {
+        phy::Uplink_config cfg;
+        cfg.n_sc = cfg.fft_size = fft;
+        cfg.n_rx = 4;
+        cfg.n_beams = 4;
+        cfg.n_ue = ue;
+        cfg.n_symb = 4;
+        cfg.n_pilot_symb = 2;
+        cfg.profile = profile;
+        cfg.doppler_hz = profile == phy::Channel_profile::flat ? 0.0 : 100.0;
+        cfg.seed = 31 + cfgs.size();
+        cfgs.push_back(cfg);
+      }
+    }
+  }
+  phy::Uplink_config retx = cfgs[4];  // 16-pt, 2 UEs, TDL-A
+  retx.harq_attempt = 1;
+  cfgs.push_back(retx);
+
+  for (size_t i = 0; i < cfgs.size(); ++i) {
+    const phy::Uplink_scenario sc(cfgs[i]);
+    const auto golden = phy::golden_receive(sc);
+    const auto res = pipeline.execute(sc, *backend);
+    const std::string what = "config " + std::to_string(i);
+    EXPECT_EQ(res.bits, golden.bits) << what;
+    EXPECT_EQ(res.symbols, golden.symbols) << what;
+    EXPECT_EQ(res.evm, golden.evm) << what;
+    EXPECT_EQ(res.ber, golden.ber) << what;
+    EXPECT_EQ(res.sigma2_hat, golden.sigma2_hat) << what;
   }
 }
 
@@ -177,27 +225,27 @@ TEST(ParallelBackend, CooperativeFftPathBitIdentical) {
 }
 
 TEST(ParallelBackend, ComposedSweepMatchesSerialReferenceRollup) {
-  // The --backend parallel --intra N composition through Sweep_runner:
+  // The --backend parallel --intra N composition through the scheduler:
   // per-point aggregates (which sum floats in slot order) must also match.
   runtime::Sweep_grid grid;
   grid.fft_sizes = {16};
   grid.snr_db = {15, 25};
   grid.slots_per_point = 2;
 
-  runtime::Sweep_options a;
+  runtime::Scheduler_options a;
   a.backend = "reference";
   a.workers = 1;
-  runtime::Sweep_options b;
+  runtime::Scheduler_options b;
   b.backend = "parallel";
   b.workers = 3;
   b.intra = 2;
-  const auto ra = runtime::Sweep_runner(a).run(grid);
-  const auto rb = runtime::Sweep_runner(b).run(grid);
-  ASSERT_EQ(ra.points.size(), rb.points.size());
-  for (size_t p = 0; p < ra.points.size(); ++p) {
-    EXPECT_EQ(ra.points[p].evm, rb.points[p].evm);
-    EXPECT_EQ(ra.points[p].ber, rb.points[p].ber);
-    EXPECT_EQ(ra.points[p].sigma2_hat, rb.points[p].sigma2_hat);
+  const auto ra = runtime::Slot_scheduler(a).run(runtime::Grid_source(grid));
+  const auto rb = runtime::Slot_scheduler(b).run(runtime::Grid_source(grid));
+  ASSERT_EQ(ra.groups.size(), rb.groups.size());
+  for (size_t p = 0; p < ra.groups.size(); ++p) {
+    EXPECT_EQ(ra.groups[p].evm, rb.groups[p].evm);
+    EXPECT_EQ(ra.groups[p].ber, rb.groups[p].ber);
+    EXPECT_EQ(ra.groups[p].sigma2_hat, rb.groups[p].sigma2_hat);
   }
 }
 

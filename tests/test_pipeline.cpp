@@ -1,7 +1,7 @@
 // Pipeline equivalence and backend cross-checks.
 //
-// The pre-refactor entry points (run_use_case / run_sim_uplink) are now thin
-// presets over runtime::Pipeline.  These tests pin the refactor down:
+// The use case and the uplink slot are presets over runtime::Pipeline
+// (runtime/presets.h).  These tests pin them to the kernel classes:
 //
 //  * the use-case roll-up preset reproduces the exact cycle counts of the
 //    same kernel configurations driven directly through their classes (the
@@ -21,9 +21,8 @@
 #include "kernels/fft.h"
 #include "kernels/gram.h"
 #include "kernels/mmm.h"
-#include "pusch/use_case_rollup.h"
-#include "pusch/uplink_chain.h"
 #include "runtime/backend.h"
+#include "runtime/presets.h"
 
 namespace {
 
@@ -191,7 +190,8 @@ TEST(PipelineEquivalence, UplinkPresetMatchesLegacyChainExactly) {
   const auto cluster = arch::Cluster_config::minipool();
 
   const auto legacy = legacy_run_sim_uplink(sc, cluster);
-  const auto ported = pusch::run_sim_uplink(sc, cluster);
+  runtime::Sim_backend sim;
+  const auto ported = runtime::uplink_pipeline(cluster).execute(sc, sim);
 
   ASSERT_EQ(ported.stages.size(), 6u);
   for (size_t i = 0; i < 6; ++i) {
@@ -207,13 +207,13 @@ TEST(PipelineEquivalence, UplinkPresetMatchesLegacyChainExactly) {
 // ---- use-case roll-up: preset == direct kernel-class measurement ---------
 
 TEST(PipelineEquivalence, UseCasePresetMatchesDirectKernelMeasurement) {
-  pusch::Chain_config cfg;
+  runtime::Use_case_options cfg;
   cfg.cluster = arch::Cluster_config::minipool();
   cfg.dims.fft_size = 256;
   cfg.dims.n_rx = 4;
   cfg.dims.n_beams = 4;
   cfg.dims.n_ue = 4;
-  const auto res = pusch::run_use_case(cfg);
+  const auto res = runtime::run_use_case(cfg);
   ASSERT_EQ(res.stages.size(), 3u);
 
   // FFT stage: the preset must pick 1 gang x 4 reps on 16 cores and scale
@@ -260,14 +260,14 @@ TEST(PipelineEquivalence, UseCasePresetMatchesDirectKernelMeasurement) {
 }
 
 TEST(PipelineEquivalence, MeasureIsDeterministic) {
-  pusch::Chain_config cfg;
+  runtime::Use_case_options cfg;
   cfg.cluster = arch::Cluster_config::minipool();
   cfg.dims.fft_size = 256;
   cfg.dims.n_rx = 4;
   cfg.dims.n_beams = 4;
   cfg.dims.n_ue = 4;
-  const auto a = pusch::run_use_case(cfg);
-  const auto b = pusch::run_use_case(cfg);
+  const auto a = runtime::run_use_case(cfg);
+  const auto b = runtime::run_use_case(cfg);
   ASSERT_EQ(a.stages.size(), b.stages.size());
   for (size_t i = 0; i < a.stages.size(); ++i) {
     EXPECT_EQ(a.stages[i].rep.cycles, b.stages[i].rep.cycles);
@@ -283,9 +283,9 @@ TEST(BackendCrossCheck, SimAndReferenceDecodeTheSamePayloads) {
       runtime::uplink_pipeline(arch::Cluster_config::minipool());
 
   runtime::Sim_backend sim_b;
-  runtime::Reference_backend ref_b;
+  const auto ref_b = runtime::make_backend("reference");
   const auto on_sim = pipeline.execute(sc, sim_b);
-  const auto on_ref = pipeline.execute(sc, ref_b);
+  const auto on_ref = pipeline.execute(sc, *ref_b);
 
   EXPECT_EQ(on_sim.backend, "sim");
   EXPECT_EQ(on_ref.backend, "reference");

@@ -9,7 +9,8 @@
 #include "kernels/fft.h"
 #include "kernels/mmm.h"
 #include "phy/uplink.h"
-#include "pusch/uplink_chain.h"
+#include "runtime/backend.h"
+#include "runtime/presets.h"
 
 namespace {
 
@@ -145,7 +146,9 @@ TEST_P(E2eSweep, ZeroBerAtHighSnr) {
   cfg.ue_power = 0.08;
   cfg.seed = GetParam().seed;
   const phy::Uplink_scenario sc(cfg);
-  const auto res = pusch::run_sim_uplink(sc, arch::Cluster_config::minipool());
+  runtime::Sim_backend sim;
+  const auto res = runtime::uplink_pipeline(arch::Cluster_config::minipool())
+                       .execute(sc, sim);
   // QPSK and 16-QAM must decode cleanly through the Q15 chain.
   EXPECT_EQ(res.ber, 0.0) << "EVM " << res.evm;
 }
@@ -173,9 +176,11 @@ TEST(Scale, ChainValuesClusterInvariant) {
   cfg.seed = 99;
   const phy::Uplink_scenario sc(cfg);
 
-  const auto on_mp = pusch::run_sim_uplink(sc, arch::Cluster_config::mempool());
-  const auto on_tp =
-      pusch::run_sim_uplink(sc, arch::Cluster_config::terapool());
+  runtime::Sim_backend sim;
+  const auto on_mp = runtime::uplink_pipeline(arch::Cluster_config::mempool())
+                         .execute(sc, sim);
+  const auto on_tp = runtime::uplink_pipeline(arch::Cluster_config::terapool())
+                         .execute(sc, sim);
   // Decoded payloads agree; EVM may differ in the last bits because the NE
   // reduction rounds per-core partial sums and the partition depends on the
   // core count.

@@ -1,14 +1,14 @@
 // Slot_scheduler determinism and compatibility tests.
 //
-// The load-bearing guarantees of the scheduler refactor:
-//   - the Grid_source path is bit-identical to the pre-refactor sweep
-//     engine (a serial slot_config + Pipeline::execute loop) at any worker
-//     count, and Sweep_runner's wrapper output matches it;
+// The load-bearing guarantees of the scheduler:
+//   - the Grid_source path is bit-identical to a serial slot_config +
+//     Pipeline::execute loop at any worker count;
 //   - a fixed-seed Traffic_source run produces identical aggregate reports
 //     (slot results, latency histograms, deadline-miss counts) at any
 //     worker count and with stage pipelining on or off;
-//   - the stage-split backend entry points (run_front + run_back) are
-//     bit-identical to run_slot on both host backends.
+//   - the stage-split backend entry points (run_front_into +
+//     run_back_into) are bit-identical to run_slot_into on the host
+//     backends.
 #include <gtest/gtest.h>
 
 #include "runtime/backend.h"
@@ -25,7 +25,6 @@ using runtime::Schedule_result;
 using runtime::Scheduler_options;
 using runtime::Slot_scheduler;
 using runtime::Sweep_grid;
-using runtime::Sweep_runner;
 using runtime::Traffic_cell;
 using runtime::Traffic_config;
 using runtime::Traffic_source;
@@ -96,10 +95,10 @@ Traffic_config small_traffic(uint64_t n_slots = 16) {
 }
 
 TEST(Scheduler, GridSourceBitIdenticalToPreRefactorSweepLoop) {
-  // The pre-refactor Sweep_runner semantics, reconstructed by hand: walk
-  // the grid in slot-index order, one scenario per slot from slot_config,
-  // executed on a single backend.  The scheduler must reproduce it bit for
-  // bit at 1, 2 and 8 workers.
+  // The batch sweep semantics, reconstructed by hand: walk the grid in
+  // slot-index order, one scenario per slot from slot_config, executed on a
+  // single backend.  The scheduler must reproduce it bit for bit at 1, 2
+  // and 8 workers.
   const Sweep_grid grid = small_grid();
   const auto points = grid.points();
   const auto pipeline =
@@ -107,7 +106,7 @@ TEST(Scheduler, GridSourceBitIdenticalToPreRefactorSweepLoop) {
   auto backend = runtime::make_backend("reference");
   std::vector<runtime::Slot_result> legacy(grid.n_slots());
   for (uint64_t i = 0; i < grid.n_slots(); ++i) {
-    const phy::Uplink_scenario sc(Sweep_runner::slot_config(
+    const phy::Uplink_scenario sc(Grid_source::slot_config(
         grid, points[i / grid.slots_per_point], i));
     legacy[i] = pipeline.execute(sc, *backend);
   }
@@ -118,25 +117,6 @@ TEST(Scheduler, GridSourceBitIdenticalToPreRefactorSweepLoop) {
     const auto res = Slot_scheduler(opt).run(Grid_source(grid));
     expect_slots_identical(res.slots, legacy);
   }
-}
-
-TEST(Scheduler, SweepRunnerWrapperMatchesSchedulerGroups) {
-  const Sweep_grid grid = small_grid();
-  Scheduler_options sopt;
-  sopt.workers = 2;
-  const auto sched = Slot_scheduler(sopt).run(Grid_source(grid));
-
-  runtime::Sweep_options wopt;
-  wopt.workers = 2;
-  const auto sweep = Sweep_runner(wopt).run(grid);
-  ASSERT_EQ(sweep.points.size(), sched.groups.size());
-  for (size_t p = 0; p < sweep.points.size(); ++p) {
-    EXPECT_EQ(sweep.points[p].evm, sched.groups[p].evm);
-    EXPECT_EQ(sweep.points[p].ber, sched.groups[p].ber);
-    EXPECT_EQ(sweep.points[p].sigma2_hat, sched.groups[p].sigma2_hat);
-    EXPECT_EQ(sweep.points[p].cycles, sched.groups[p].cycles);
-  }
-  expect_slots_identical(sweep.slots, sched.slots);
 }
 
 TEST(Scheduler, GridJobsAreBatchSemantics) {
@@ -192,19 +172,21 @@ TEST(Scheduler, SimBackendDeadlineAccountingWorkerInvariant) {
 }
 
 TEST(Scheduler, SplitBackendsMatchRunSlot) {
-  // run_back(run_front()) == run_slot on both host backends - the bit
-  // contract stage pipelining rests on.
+  // run_back_into(run_front_into()) == run_slot_into on the host backends
+  // - the bit contract stage pipelining rests on.
   const auto cluster = arch::Cluster_config::minipool();
   const auto pipeline = runtime::uplink_pipeline(cluster, {});
   const phy::Uplink_scenario sc(
-      Sweep_runner::slot_config(small_grid(), small_grid().points()[1], 3));
+      Grid_source::slot_config(small_grid(), small_grid().points()[1], 3));
   for (const char* name : {"reference", "parallel", "fixed"}) {
     auto whole = runtime::make_backend(name, 2);
     auto split = runtime::make_backend(name, 2);
     ASSERT_TRUE(whole->can_split()) << name;
-    const auto a = whole->run_slot(pipeline, sc);
-    const auto b =
-        split->run_back(pipeline, sc, split->run_front(pipeline, sc));
+    runtime::Slot_result a, b;
+    runtime::Slot_front front;
+    whole->run_slot_into(pipeline, sc, a);
+    split->run_front_into(pipeline, sc, front);
+    split->run_back_into(pipeline, sc, front, b);
     EXPECT_EQ(a.bits, b.bits) << name;
     EXPECT_EQ(a.evm, b.evm) << name;
     EXPECT_EQ(a.ber, b.ber) << name;
@@ -215,7 +197,7 @@ TEST(Scheduler, SplitBackendsMatchRunSlot) {
 
 TEST(Scheduler, AnalyticServiceModelIsPureAndClockScaled) {
   const auto cfg =
-      Sweep_runner::slot_config(small_grid(), small_grid().points()[0], 0);
+      Grid_source::slot_config(small_grid(), small_grid().points()[0], 0);
   const auto cluster = arch::Cluster_config::minipool();
   const double s1 = runtime::analytic_service_seconds(cfg, cluster, 1.0);
   EXPECT_GT(s1, 0.0);

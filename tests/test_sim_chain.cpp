@@ -4,11 +4,18 @@
 #include <gtest/gtest.h>
 
 #include "phy/uplink.h"
-#include "pusch/uplink_chain.h"
+#include "runtime/backend.h"
+#include "runtime/presets.h"
 
 namespace {
 
 using namespace pp;
+
+runtime::Slot_result run_sim(const phy::Uplink_scenario& sc) {
+  runtime::Sim_backend sim;
+  return runtime::uplink_pipeline(arch::Cluster_config::minipool())
+      .execute(sc, sim);
+}
 
 phy::Uplink_config small_cfg() {
   phy::Uplink_config cfg;
@@ -28,8 +35,7 @@ phy::Uplink_config small_cfg() {
 
 TEST(SimChain, RecoversPayloadAtHighSnr) {
   const phy::Uplink_scenario sc(small_cfg());
-  const auto res =
-      pusch::run_sim_uplink(sc, arch::Cluster_config::minipool());
+  const auto res = run_sim(sc);
   EXPECT_EQ(res.ber, 0.0) << "EVM " << res.evm;
   EXPECT_LT(res.evm, 0.25);
   // All six stages executed.
@@ -43,8 +49,7 @@ TEST(SimChain, RecoversPayloadAtHighSnr) {
 TEST(SimChain, AgreesWithGoldenReceiver) {
   const phy::Uplink_scenario sc(small_cfg());
   const auto golden = phy::golden_receive(sc);
-  const auto simres =
-      pusch::run_sim_uplink(sc, arch::Cluster_config::minipool());
+  const auto simres = run_sim(sc);
   // Same recovered payloads at high SNR.
   for (uint32_t l = 0; l < sc.config().n_ue; ++l) {
     EXPECT_EQ(golden.bits[l], simres.bits[l]) << "UE " << l;
@@ -59,8 +64,7 @@ TEST(SimChain, FrontEndOutweighsEveryTailStage) {
   // not >50% of the slot as in the full use case, but FFT+MMM must still
   // outweigh each estimation/MIMO stage individually.
   const phy::Uplink_scenario sc(small_cfg());
-  const auto res =
-      pusch::run_sim_uplink(sc, arch::Cluster_config::minipool());
+  const auto res = run_sim(sc);
   const uint64_t fe = res.stages[0].cycles + res.stages[1].cycles;
   for (size_t i = 2; i < res.stages.size(); ++i) {
     EXPECT_GT(fe, res.stages[i].cycles) << res.stages[i].name;
@@ -72,8 +76,7 @@ TEST(SimChain, NoiseEstimateIsSane) {
   cfg.sigma2 = 1e-3;
   cfg.seed = 12;
   const phy::Uplink_scenario sc(cfg);
-  const auto res =
-      pusch::run_sim_uplink(sc, arch::Cluster_config::minipool());
+  const auto res = run_sim(sc);
   // Within an order of magnitude (quantization adds its own floor).
   EXPECT_GT(res.sigma2_hat, 1e-5);
   EXPECT_LT(res.sigma2_hat, 1e-1);

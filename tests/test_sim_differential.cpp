@@ -175,7 +175,7 @@ phy::Uplink_config chain_cfg(uint32_t fft) {
 
 // One slot through the sim backend; `reference` flips the environment knob
 // the way a differential CI build would (the Machine reads it at
-// construction, inside Backend::run_slot).
+// construction, inside Backend::run_slot_into).
 Slot_result run_chain(const arch::Cluster_config& cluster, uint32_t fft,
                       bool reference) {
   if (reference) {
@@ -207,7 +207,7 @@ TEST(SimDifferential, UplinkChainMempoolMatchesReferenceLoop) {
 
 // ---- sim shards: slot-level host threading is invisible ------------------
 
-runtime::Sweep_result sweep_with_shards(uint32_t sim_shards) {
+runtime::Schedule_result sweep_with_shards(uint32_t sim_shards) {
   runtime::Sweep_grid grid;
   grid.fft_sizes = {64};
   grid.ue_counts = {2};
@@ -215,12 +215,12 @@ runtime::Sweep_result sweep_with_shards(uint32_t sim_shards) {
   grid.snr_db = {20.0, 30.0};
   grid.slots_per_point = 2;
   grid.base_seed = 7;
-  runtime::Sweep_options opt;
+  runtime::Scheduler_options opt;
   opt.backend = "sim";
   opt.cluster = arch::Cluster_config::minipool();
   opt.sim_shards = sim_shards;
   opt.keep_slots = true;
-  return runtime::Sweep_runner(opt).run(grid);
+  return runtime::Slot_scheduler(opt).run(runtime::Grid_source(grid));
 }
 
 TEST(SimDifferential, SweepInvariantAcrossSimShards) {
@@ -234,11 +234,11 @@ TEST(SimDifferential, SweepInvariantAcrossSimShards) {
       SCOPED_TRACE(i);
       expect_slot_equal(one.slots[i], sharded.slots[i]);
     }
-    ASSERT_EQ(sharded.points.size(), one.points.size());
-    for (size_t p = 0; p < one.points.size(); ++p) {
-      EXPECT_EQ(one.points[p].cycles, sharded.points[p].cycles);
-      EXPECT_EQ(one.points[p].evm, sharded.points[p].evm);
-      EXPECT_EQ(one.points[p].ber, sharded.points[p].ber);
+    ASSERT_EQ(sharded.groups.size(), one.groups.size());
+    for (size_t p = 0; p < one.groups.size(); ++p) {
+      EXPECT_EQ(one.groups[p].cycles, sharded.groups[p].cycles);
+      EXPECT_EQ(one.groups[p].evm, sharded.groups[p].evm);
+      EXPECT_EQ(one.groups[p].ber, sharded.groups[p].ber);
     }
     EXPECT_EQ(one.total_cycles, sharded.total_cycles);
   }

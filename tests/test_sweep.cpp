@@ -1,4 +1,5 @@
-// Sweep engine determinism and aggregation tests.
+// Grid sweep determinism and aggregation tests (Grid_source driven by
+// Slot_scheduler; one group per grid point).
 //
 // The load-bearing guarantee: a slot's result is a pure function of
 // (grid, slot_index) — seeds derive from (base_seed, slot_index) alone,
@@ -14,10 +15,11 @@
 namespace {
 
 using namespace pp;
+using runtime::Grid_source;
+using runtime::Schedule_result;
+using runtime::Scheduler_options;
+using runtime::Slot_scheduler;
 using runtime::Sweep_grid;
-using runtime::Sweep_options;
-using runtime::Sweep_result;
-using runtime::Sweep_runner;
 
 Sweep_grid small_grid() {
   Sweep_grid g;
@@ -29,7 +31,7 @@ Sweep_grid small_grid() {
   return g;
 }
 
-void expect_bit_identical(const Sweep_result& a, const Sweep_result& b) {
+void expect_bit_identical(const Schedule_result& a, const Schedule_result& b) {
   ASSERT_EQ(a.slots.size(), b.slots.size());
   for (size_t i = 0; i < a.slots.size(); ++i) {
     const auto& x = a.slots[i];
@@ -44,22 +46,22 @@ void expect_bit_identical(const Sweep_result& a, const Sweep_result& b) {
       EXPECT_EQ(x.stages[s].runs, y.stages[s].runs) << "slot " << i;
     }
   }
-  ASSERT_EQ(a.points.size(), b.points.size());
-  for (size_t p = 0; p < a.points.size(); ++p) {
-    EXPECT_EQ(a.points[p].evm, b.points[p].evm) << "point " << p;
-    EXPECT_EQ(a.points[p].ber, b.points[p].ber) << "point " << p;
-    EXPECT_EQ(a.points[p].sigma2_hat, b.points[p].sigma2_hat) << "point " << p;
-    EXPECT_EQ(a.points[p].cycles, b.points[p].cycles) << "point " << p;
+  ASSERT_EQ(a.groups.size(), b.groups.size());
+  for (size_t p = 0; p < a.groups.size(); ++p) {
+    EXPECT_EQ(a.groups[p].evm, b.groups[p].evm) << "point " << p;
+    EXPECT_EQ(a.groups[p].ber, b.groups[p].ber) << "point " << p;
+    EXPECT_EQ(a.groups[p].sigma2_hat, b.groups[p].sigma2_hat) << "point " << p;
+    EXPECT_EQ(a.groups[p].cycles, b.groups[p].cycles) << "point " << p;
   }
   EXPECT_EQ(a.total_cycles, b.total_cycles);
 }
 
-Sweep_result run_with_workers(const Sweep_grid& g, uint32_t workers,
-                              const std::string& backend = "reference") {
-  Sweep_options opt;
+Schedule_result run_with_workers(const Sweep_grid& g, uint32_t workers,
+                                 const std::string& backend = "reference") {
+  Scheduler_options opt;
   opt.workers = workers;
   opt.backend = backend;
-  return Sweep_runner(opt).run(g);
+  return Slot_scheduler(opt).run(Grid_source(g));
 }
 
 TEST(Sweep, EightWorkersBitIdenticalToSerialOnReference) {
@@ -90,16 +92,16 @@ TEST(Sweep, SimBackendBitIdenticalAcrossWorkers) {
   expect_bit_identical(serial, parallel);
   // The simulator reports cycles, and they are data-independent, so both
   // points cost the same.
-  ASSERT_EQ(serial.points.size(), 2u);
-  EXPECT_GT(serial.points[0].cycles, 0u);
-  EXPECT_EQ(serial.points[0].cycles, serial.points[1].cycles);
+  ASSERT_EQ(serial.groups.size(), 2u);
+  EXPECT_GT(serial.groups[0].cycles, 0u);
+  EXPECT_EQ(serial.groups[0].cycles, serial.groups[1].cycles);
 }
 
 TEST(Sweep, SlotSeedsFollowTheDerivationContract) {
   const Sweep_grid g = small_grid();
   const auto points = g.points();
   for (uint64_t i = 0; i < g.n_slots(); ++i) {
-    const auto cfg = Sweep_runner::slot_config(g, points[i], i);
+    const auto cfg = Grid_source::slot_config(g, points[i], i);
     EXPECT_EQ(cfg.seed, common::Rng::derive_seed(g.base_seed, i));
   }
 }
@@ -124,7 +126,7 @@ TEST(Sweep, EmptyGrid) {
   g.snr_db.clear();  // one empty axis empties the grid
   const auto res = run_with_workers(g, 4);
   EXPECT_EQ(res.total_slots, 0u);
-  EXPECT_TRUE(res.points.empty());
+  EXPECT_TRUE(res.groups.empty());
   EXPECT_TRUE(res.slots.empty());
   EXPECT_EQ(res.slots_per_second(), res.slots_per_second());  // finite, no NaN
 
@@ -132,8 +134,8 @@ TEST(Sweep, EmptyGrid) {
   g2.slots_per_point = 0;  // points exist but carry no slots
   const auto res2 = run_with_workers(g2, 4);
   EXPECT_EQ(res2.total_slots, 0u);
-  ASSERT_EQ(res2.points.size(), g2.n_points());
-  for (const auto& p : res2.points) {
+  ASSERT_EQ(res2.groups.size(), g2.n_points());
+  for (const auto& p : res2.groups) {
     EXPECT_EQ(p.slots, 0u);
     EXPECT_EQ(p.evm, 0.0);
   }
@@ -147,29 +149,29 @@ TEST(Sweep, SinglePointMatchesDirectPipelineExecute) {
   ASSERT_EQ(res.total_slots, 1u);
 
   // The same slot driven by hand through the preset + backend layer.
-  Sweep_options opt;
+  Scheduler_options opt;
   const auto pipeline = runtime::uplink_pipeline(opt.cluster, opt.uplink);
   auto backend = runtime::make_backend("reference");
   const phy::Uplink_scenario sc(
-      Sweep_runner::slot_config(g, g.points()[0], 0));
+      Grid_source::slot_config(g, g.points()[0], 0));
   const auto direct = pipeline.execute(sc, *backend);
   EXPECT_EQ(res.slots[0].bits, direct.bits);
   EXPECT_EQ(res.slots[0].evm, direct.evm);
   EXPECT_EQ(res.slots[0].ber, direct.ber);
-  EXPECT_EQ(res.points[0].evm, direct.evm);
+  EXPECT_EQ(res.groups[0].evm, direct.evm);
 }
 
 TEST(Sweep, KeepSlotsOffDropsPerSlotResults) {
   Sweep_grid g;
   g.fft_sizes = {16};
   g.snr_db = {20, 30};
-  Sweep_options opt;
+  Scheduler_options opt;
   opt.workers = 2;
   opt.keep_slots = false;
-  const auto res = Sweep_runner(opt).run(g);
+  const auto res = Slot_scheduler(opt).run(Grid_source(g));
   EXPECT_TRUE(res.slots.empty());
-  ASSERT_EQ(res.points.size(), 2u);
-  EXPECT_GT(res.points[0].evm, 0.0);  // roll-up still aggregated
+  ASSERT_EQ(res.groups.size(), 2u);
+  EXPECT_GT(res.groups[0].evm, 0.0);  // roll-up still aggregated
 }
 
 TEST(Sweep, ReportsThroughputAndRendersTable) {
@@ -180,7 +182,7 @@ TEST(Sweep, ReportsThroughputAndRendersTable) {
   EXPECT_GT(res.wall_seconds, 0.0);
   EXPECT_GT(res.slots_per_second(), 0.0);
   const std::string table = res.str();
-  EXPECT_NE(table.find("SNR dB"), std::string::npos);
+  EXPECT_NE(table.find("fft16 ue2 qam16 snr30.0"), std::string::npos);
   EXPECT_NE(table.find("reference backend"), std::string::npos);
 }
 
@@ -196,12 +198,12 @@ TEST(Sweep, EightWorkerSpeedup) {
   g.fft_sizes = {64, 256, 1024};
   g.snr_db = {10, 15, 20, 25, 30};
   g.slots_per_point = 2;
-  Sweep_options opt;
+  Scheduler_options opt;
   opt.keep_slots = false;
   opt.workers = 1;
-  const auto serial = Sweep_runner(opt).run(g);
+  const auto serial = Slot_scheduler(opt).run(Grid_source(g));
   opt.workers = 8;
-  const auto parallel = Sweep_runner(opt).run(g);
+  const auto parallel = Slot_scheduler(opt).run(Grid_source(g));
   EXPECT_GE(serial.wall_seconds / parallel.wall_seconds, 3.0)
       << "serial " << serial.wall_seconds << " s, 8 workers "
       << parallel.wall_seconds << " s";

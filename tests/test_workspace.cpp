@@ -7,8 +7,9 @@
 // is fully overwritten first).  These tests pin:
 //
 //   - the ws_grow / Ws_grid / ws_shape_rows growth primitives themselves
-//   - quantize_into/dequantize_into bit-identity with the returning forms,
-//     and Q15_rescale's integer hand-off == the double round-trip
+//   - quantize_into/dequantize_into bit-identity with their element-wise
+//     definitions, and Q15_rescale's integer hand-off == the double
+//     round-trip
 //   - workspace_bytes() growth-then-stable across repeated slot runs and
 //     shape changes, on all four backends
 //   - _into-path and recycled-Slot_front results bit-identical to fresh
@@ -131,10 +132,26 @@ std::vector<std::complex<double>> marshal_samples() {
   return x;
 }
 
+// The returning forms the _into helpers must equal: their element-wise
+// definitions, computed fresh.
+std::vector<cq15> quantize(const std::vector<std::complex<double>>& x,
+                           double scale) {
+  std::vector<cq15> q;
+  for (const auto& v : x) q.push_back(common::to_cq15(v * scale));
+  return q;
+}
+
+std::vector<std::complex<double>> dequantize(const std::vector<cq15>& q,
+                                             double scale) {
+  std::vector<std::complex<double>> x;
+  for (const cq15 v : q) x.push_back(common::to_cd(v) / scale);
+  return x;
+}
+
 TEST(WorkspaceMarshal, QuantizeIntoMatchesReturningForm) {
   const auto x = marshal_samples();
   const double scale = 0.37;
-  const auto returned = runtime::quantize(x, scale);
+  const auto returned = quantize(x, scale);
   std::vector<cq15> into;
   runtime::quantize_into(x, scale, into);
   ASSERT_EQ(returned.size(), into.size());
@@ -147,7 +164,7 @@ TEST(WorkspaceMarshal, QuantizeIntoMatchesReturningForm) {
   std::vector<std::complex<double>> y(x.rbegin(), x.rend());
   y.resize(100);
   runtime::quantize_into(y, scale, into);
-  const auto returned_y = runtime::quantize(y, scale);
+  const auto returned_y = quantize(y, scale);
   ASSERT_EQ(into.size(), returned_y.size());
   for (size_t i = 0; i < into.size(); ++i) {
     EXPECT_EQ(returned_y[i].re, into[i].re) << i;
@@ -156,9 +173,9 @@ TEST(WorkspaceMarshal, QuantizeIntoMatchesReturningForm) {
 }
 
 TEST(WorkspaceMarshal, DequantizeIntoMatchesReturningForm) {
-  const auto q = runtime::quantize(marshal_samples(), 0.41);
+  const auto q = quantize(marshal_samples(), 0.41);
   const double scale = 0.41;
-  const auto returned = runtime::dequantize(q, scale);
+  const auto returned = dequantize(q, scale);
   std::vector<std::complex<double>> into;
   runtime::dequantize_into(q, scale, into);
   ASSERT_EQ(returned.size(), into.size());
@@ -169,7 +186,7 @@ TEST(WorkspaceMarshal, DequantizeIntoMatchesReturningForm) {
   // Pointer-range form over an interior sub-range equals the vector form
   // on a copy of that sub-range.
   const std::vector<cq15> mid(q.begin() + 32, q.begin() + 96);
-  const auto mid_returned = runtime::dequantize(mid, scale);
+  const auto mid_returned = dequantize(mid, scale);
   runtime::dequantize_into(q.data() + 32, 64, scale, into);
   ASSERT_EQ(into.size(), mid_returned.size());
   for (size_t i = 0; i < into.size(); ++i) {
@@ -205,7 +222,7 @@ TEST(WorkspaceMarshal, Q15RescaleEqualsTheDoubleRoundTrip) {
     }
   }
   // The complex and range forms apply the same map per component.
-  const auto q = runtime::quantize(marshal_samples(), 0.9);
+  const auto q = quantize(marshal_samples(), 0.9);
   const runtime::Q15_rescale rs(0.25, 4.0);
   std::vector<cq15> out;
   runtime::rescale_into(q, rs, out);
@@ -256,6 +273,15 @@ void expect_results_equal(const runtime::Slot_result& a,
   EXPECT_EQ(a.evm, b.evm) << what;
   EXPECT_EQ(a.ber, b.ber) << what;
   EXPECT_EQ(a.sigma2_hat, b.sigma2_hat) << what;
+  // Stage rows too: a recycled Slot_result must not keep stale counters.
+  ASSERT_EQ(a.stages.size(), b.stages.size()) << what;
+  for (size_t s = 0; s < a.stages.size(); ++s) {
+    EXPECT_EQ(a.stages[s].name, b.stages[s].name) << what << " stage " << s;
+    EXPECT_EQ(a.stages[s].cycles, b.stages[s].cycles) << what << " stage " << s;
+    EXPECT_EQ(a.stages[s].instrs, b.stages[s].instrs) << what << " stage " << s;
+    EXPECT_EQ(a.stages[s].stall, b.stages[s].stall) << what << " stage " << s;
+    EXPECT_EQ(a.stages[s].runs, b.stages[s].runs) << what << " stage " << s;
+  }
 }
 
 TEST(WorkspaceBackend, GrowthThenStableAcrossSlotRuns) {
@@ -295,10 +321,10 @@ TEST(WorkspaceBackend, ReusedWorkspaceResultsBitIdenticalToFreshBackend) {
   const auto pipeline =
       runtime::uplink_pipeline(arch::Cluster_config::minipool());
   for (const char* name : {"reference", "parallel", "fixed", "sim"}) {
-    runtime::Slot_result fresh_small =
-        runtime::make_backend(name, 2)->run_slot(pipeline, small);
-    runtime::Slot_result fresh_big =
-        runtime::make_backend(name, 2)->run_slot(pipeline, big);
+    const runtime::Slot_result fresh_small =
+        pipeline.execute(small, *runtime::make_backend(name, 2));
+    const runtime::Slot_result fresh_big =
+        pipeline.execute(big, *runtime::make_backend(name, 2));
     const auto reused = runtime::make_backend(name, 2);
     runtime::Slot_result res;
     reused->run_slot_into(pipeline, big, res);
@@ -314,7 +340,7 @@ TEST(WorkspaceBackend, RecycledSlotFrontBitIdenticalToWholeSlot) {
   // The scheduler's stage pipeline recycles Slot_fronts across slots; a
   // recycled front (stale beam grid from another shape) must carry exactly
   // the same values as a fresh one, and the split halves must reproduce
-  // run_slot bit for bit.
+  // run_slot_into bit for bit.
   const phy::Uplink_scenario small(small_cfg());
   const phy::Uplink_scenario big(big_cfg());
   const auto pipeline =
