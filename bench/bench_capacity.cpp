@@ -15,6 +15,7 @@
 //   ./bench/bench_capacity [--slots 160] [--shards 2]
 //       [--placement load-aware] [--overload off] [--iters 12]
 //       [--max-scale 8] [--clock-ghz 0.005] [--servers 1] [--seed 1]
+//       [--json out.json]                   (an unknown flag exits 2)
 //
 // The default scaled-down clock (0.005 GHz) puts every toy cell's bare
 // service at 0.3-0.4 of its slot budget - in the spirit of the paper's §VI
@@ -128,6 +129,8 @@ int main(int argc, char** argv) {
   opt.overload = bench::overload_from_cli(cli);
   opt.queue_limit = cli.get_u32("--queue-limit", 8);
   opt.degrade_min_ue = cli.get_u32("--min-ue", 1);
+  const std::string json_path = cli.get("--json", "");
+  cli.reject_unknown();
   const runtime::Slot_scheduler scheduler(opt);
 
   const runtime::Traffic_config base = base_traffic(n_slots, seed);
@@ -207,5 +210,5 @@ int main(int argc, char** argv) {
              1e6 * at_cap.latency.percentile(0.99), "us", true, "exact");
   row.metric("probe_deterministic", deterministic ? 1.0 : 0.0, "bool", true,
              "higher");
-  return bench::emit(rep, cli) | (deterministic ? 0 : 1);
+  return bench::emit(rep, json_path) | (deterministic ? 0 : 1);
 }

@@ -13,6 +13,7 @@
 //
 //   ./bench/bench_serve_latency [--slots 24] [--backend sim]
 //       [--arch minipool] [--clock-ghz 0.02] [--load 0.9] [--seed 1]
+//       [--servers 1] [--json out.json]     (an unknown flag exits 2)
 //
 // The default scaled-down clock (0.02 GHz) puts the toy 64-point slot at
 // roughly half its mu=1 budget, the same service-to-budget ratio the paper
@@ -88,6 +89,8 @@ int main(int argc, char** argv) {
   opt.keep_slots = false;
   opt.service_units = cli.get_u32("--servers", 1);
   opt.clock_ghz = get_positive_double(cli, "--clock-ghz", 0.02);
+  const std::string json_path = cli.get("--json", "");
+  cli.reject_unknown();
 
   opt.workers = 1;
   opt.pipelined = false;
@@ -198,5 +201,5 @@ int main(int argc, char** argv) {
   rep.add_meta("steady_backend", steady_name);
   totals.metric("allocs_per_slot", apslot, "allocs/slot", true, "exact");
   totals.metric("steady_slot_us", steady_s * 1e6, "us", false, "info");
-  return bench::emit(rep, cli) | (ok ? 0 : 1) | alloc_gate;
+  return bench::emit(rep, json_path) | (ok ? 0 : 1) | alloc_gate;
 }

@@ -277,5 +277,7 @@ int main(int argc, char** argv) {
                 1e6 * res.wall_service.percentile(0.99), "us", false, "info");
   totals.metric("wall_synth_p50_us", 1e6 * res.wall_synth.percentile(0.50),
                 "us", false, "info");
+  totals.metric("handoffs", static_cast<double>(res.handoffs), "count", false,
+                "info");
   return bench::emit(rep, json_path);
 }

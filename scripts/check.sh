@@ -106,20 +106,30 @@ echo "--- smoke: sharded serving engine + capacity search ---"
 # Unknown flags, and unknown names for the serving flags, must exit 2 with
 # the accepted list (the --list convention), not abort, silently fall back
 # or run on defaults.  pusch_sweep reads none of the serving flags, so it
-# rejects them as unknown.
+# rejects them as unknown; the serving benches reject unknown flags too.
+expect_exit2() {
+  local bin="$1" bad="$2"
+  if "$BUILD_DIR"/$bin --slots 1 $bad > /dev/null 2>&1; then
+    echo "$bin accepted invalid flag: $bad"
+    exit 1
+  else
+    status=$?
+    if [[ "$status" -ne 2 ]]; then
+      echo "$bin exited $status (want 2) for: $bad"
+      exit 1
+    fi
+  fi
+}
 for cli in pusch_serve pusch_sweep; do
   for bad in "--placement random" "--overload shed" "--shards 0" \
              "--channel rician" "--bogus-flag 7" "--worker 4"; do
-    if "$BUILD_DIR"/examples/$cli --slots 1 $bad > /dev/null 2>&1; then
-      echo "$cli accepted invalid flag: $bad"
-      exit 1
-    else
-      status=$?
-      if [[ "$status" -ne 2 ]]; then
-        echo "$cli exited $status (want 2) for: $bad"
-        exit 1
-      fi
-    fi
+    expect_exit2 examples/$cli "$bad"
+  done
+done
+for bench in bench_serve_latency bench_scenario_mix bench_capacity \
+             bench_throughput_sweep; do
+  for bad in "--bogus-flag 7" "--worker 4"; do
+    expect_exit2 bench/$bench "$bad"
   done
 done
 
@@ -161,7 +171,8 @@ echo "steady-state serving loop allocates nothing after warm-up"
 echo "--- ASan+UBSan build of the receive-chain, scheduler and Q15 suites ---"
 # Separate build tree with the address and undefined-behaviour sanitizers:
 # the receive chain on every backend (phy, pipeline, workspace, parallel,
-# fixed, sim chain), the scheduler and grid sweeps, HARQ and the
+# fixed, sim chain), the channel profiles and traffic source, the scheduler
+# and grid sweeps, HARQ and the
 # cross-backend scenario parity, plus the fixed-point and kernel tests (the
 # Q15 layer's saturation corners are exactly where signed-overflow UB would
 # hide).  ctest runs every test of the built targets; the other targets
@@ -175,7 +186,8 @@ cmake --build "$ASAN_DIR" -j "$JOBS" \
   --target test_phy test_pipeline test_workspace test_backend_parallel \
            test_backend_fixed test_sim_chain test_scheduler test_sweep \
            test_harq test_scenario_parity test_fixed_point test_fft \
-           test_mmm test_cholesky test_che_ne test_gram
+           test_mmm test_cholesky test_che_ne test_gram \
+           test_channel_profiles test_traffic
 ctest --test-dir "$ASAN_DIR" --output-on-failure --no-tests=error \
   -j "$JOBS" -E '_NOT_BUILT$'
 

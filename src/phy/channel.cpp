@@ -106,12 +106,12 @@ Channel::Channel(const Channel_config& cfg, common::Rng& rng) : cfg_(cfg) {
     // One coefficient per (block, r, l), drawn in that legacy order and
     // spread over the block's sub-carriers of row (r, l).
     PP_CHECK(cfg_.coherence >= 1, "a fading block spans >= 1 sub-carrier");
-    freq_.resize(static_cast<size_t>(cfg_.n_rx) * cfg_.n_ue * cfg_.n_sc);
+    flat_.resize(static_cast<size_t>(cfg_.n_rx) * cfg_.n_ue * cfg_.n_sc);
     for (uint32_t sc0 = 0; sc0 < cfg_.n_sc; sc0 += cfg_.coherence) {
       const uint32_t sc1 = std::min(cfg_.n_sc, sc0 + cfg_.coherence);
       for (uint32_t r = 0; r < cfg_.n_rx; ++r) {
         for (uint32_t l = 0; l < cfg_.n_ue; ++l) {
-          cd* row = freq_.data() + row_offset(0, r, l);
+          cd* row = flat_.data() + flat_offset(r, l);
           std::fill(row + sc0, row + sc1, rng.cnormal() * cfg_.gain);
         }
       }
@@ -123,8 +123,8 @@ Channel::Channel(const Channel_config& cfg, common::Rng& rng) : cfg_(cfg) {
   PP_CHECK(cfg_.delay_spread > 0.0, "TDL delay spread must be positive");
   const auto& table = tdl_taps(cfg_.profile);
   n_taps_ = static_cast<uint32_t>(table.size());
-  const size_t per_symb = static_cast<size_t>(n_taps_) * cfg_.n_rx * cfg_.n_ue;
-  taps_.resize(static_cast<size_t>(cfg_.n_symb) * per_symb);
+  taps_.resize(static_cast<size_t>(cfg_.n_symb) * n_taps_ * cfg_.n_rx *
+               cfg_.n_ue);
 
   // Per-UE private streams, symbol-major draw order: the initial (t, r)
   // block, then one innovation block per later symbol.  A longer trace
@@ -137,19 +137,16 @@ Channel::Channel(const Channel_config& cfg, common::Rng& rng) : cfg_(cfg) {
     for (uint32_t t = 0; t < n_taps_; ++t) {
       const double amp = std::sqrt(table[t].power) * cfg_.gain;
       for (uint32_t r = 0; r < cfg_.n_rx; ++r) {
-        taps_[(static_cast<size_t>(t) * cfg_.n_rx + r) * cfg_.n_ue + l] =
-            ue_rng.cnormal() * amp;
+        taps_[tap_offset(0, t, r, l)] = ue_rng.cnormal() * amp;
       }
     }
     for (uint32_t s = 1; s < cfg_.n_symb; ++s) {
       for (uint32_t t = 0; t < n_taps_; ++t) {
         const double amp = std::sqrt(table[t].power) * cfg_.gain;
         for (uint32_t r = 0; r < cfg_.n_rx; ++r) {
-          const size_t at =
-              (static_cast<size_t>(t) * cfg_.n_rx + r) * cfg_.n_ue + l;
-          const cd prev = taps_[(static_cast<size_t>(s) - 1) * per_symb + at];
-          taps_[static_cast<size_t>(s) * per_symb + at] =
-              prev * rho + ue_rng.cnormal() * (amp * innov);
+          taps_[tap_offset(s, t, r, l)] =
+              taps_[tap_offset(s - 1, t, r, l)] * rho +
+              ue_rng.cnormal() * (amp * innov);
         }
       }
     }
@@ -157,41 +154,47 @@ Channel::Channel(const Channel_config& cfg, common::Rng& rng) : cfg_(cfg) {
 
   // Frequency response: H(s, sc, r, l) = sum_t g_t exp(-j 2 pi sc tau_t /
   // n_sc) with tau_t the tap's excess delay in sub-carrier-grid samples.
-  // The phase table is shared across antennas and UEs.
-  std::vector<cd> phase(static_cast<size_t>(n_taps_) * cfg_.n_sc);
+  // Only the phase ramps are stored, shared across antennas and UEs;
+  // row_into() sums the response on demand.
+  phase_.resize(static_cast<size_t>(n_taps_) * cfg_.n_sc);
   for (uint32_t t = 0; t < n_taps_; ++t) {
     const double tau = table[t].delay * cfg_.delay_spread;
     for (uint32_t sc = 0; sc < cfg_.n_sc; ++sc) {
       const double ang =
           -2.0 * M_PI * tau * static_cast<double>(sc) / cfg_.n_sc;
-      phase[static_cast<size_t>(t) * cfg_.n_sc + sc] =
+      phase_[static_cast<size_t>(t) * cfg_.n_sc + sc] =
           cd{std::cos(ang), std::sin(ang)};
     }
   }
-  // One (s, r, l) row at a time across sub-carriers: every element starts
-  // from +0 and adds the taps in table order - the per-element sum's exact
-  // sequence - while the sub-carrier loop vectorizes.
-  freq_.resize(static_cast<size_t>(cfg_.n_symb) * cfg_.n_rx * cfg_.n_ue *
-               cfg_.n_sc);
-  std::vector<double> acc_re(cfg_.n_sc), acc_im(cfg_.n_sc);
-  for (uint32_t s = 0; s < cfg_.n_symb; ++s) {
-    for (uint32_t r = 0; r < cfg_.n_rx; ++r) {
-      for (uint32_t l = 0; l < cfg_.n_ue; ++l) {
-        std::fill(acc_re.begin(), acc_re.end(), 0.0);
-        std::fill(acc_im.begin(), acc_im.end(), 0.0);
-        for (uint32_t t = 0; t < n_taps_; ++t) {
-          const size_t at =
-              (static_cast<size_t>(t) * cfg_.n_rx + r) * cfg_.n_ue + l;
-          cmac_split(taps_[s * per_symb + at],
-                     &phase[static_cast<size_t>(t) * cfg_.n_sc],
-                     acc_re.data(), acc_im.data(), cfg_.n_sc);
-        }
-        cd* out = freq_.data() + row_offset(s, r, l);
-        for (uint32_t sc = 0; sc < cfg_.n_sc; ++sc) {
-          out[sc] = cd{acc_re[sc], acc_im[sc]};
-        }
-      }
+}
+
+cd Channel::h(uint32_t s, uint32_t sc, uint32_t r, uint32_t l) const {
+  std::vector<cd> row(cfg_.n_sc);
+  row_into(s, r, l, row);
+  return row[sc];
+}
+
+void Channel::row_into(uint32_t s, uint32_t r, uint32_t l,
+                       std::span<cd> out) const {
+  PP_CHECK(out.size() == cfg_.n_sc, "a channel row spans n_sc sub-carriers");
+  if (cfg_.profile == Channel_profile::flat) {
+    const cd* row = flat_.data() + flat_offset(r, l);
+    std::copy(row, row + cfg_.n_sc, out.begin());
+    return;
+  }
+  // Sub-carrier blocks on stack accumulators: each element starts from +0
+  // and adds the taps in table order - the per-element sum's exact
+  // sequence - while the block loop vectorizes.
+  constexpr uint32_t kBlock = 256;
+  for (uint32_t sc0 = 0; sc0 < cfg_.n_sc; sc0 += kBlock) {
+    const uint32_t n = std::min(kBlock, cfg_.n_sc - sc0);
+    double acc_re[kBlock] = {}, acc_im[kBlock] = {};
+    for (uint32_t t = 0; t < n_taps_; ++t) {
+      cmac_split(taps_[tap_offset(s, t, r, l)],
+                 &phase_[static_cast<size_t>(t) * cfg_.n_sc + sc0], acc_re,
+                 acc_im, n);
     }
+    for (uint32_t i = 0; i < n; ++i) out[sc0 + i] = cd{acc_re[i], acc_im[i]};
   }
 }
 
@@ -200,9 +203,7 @@ cd Channel::tap_gain(uint32_t s, uint32_t t, uint32_t r, uint32_t l) const {
            "the flat profile has no taps");
   PP_CHECK(s < cfg_.n_symb && t < n_taps_ && r < cfg_.n_rx && l < cfg_.n_ue,
            "tap index out of range");
-  return taps_[((static_cast<size_t>(s) * n_taps_ + t) * cfg_.n_rx + r) *
-                   cfg_.n_ue +
-               l];
+  return taps_[tap_offset(s, t, r, l)];
 }
 
 std::vector<cd> dft_codebook(uint32_t n_rx, uint32_t n_beams) {

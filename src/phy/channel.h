@@ -86,15 +86,14 @@ class Channel {
   // Frequency response antenna r <- UE l at sub-carrier sc during OFDM
   // symbol s.  The flat profile is time-invariant (s is ignored); TDL
   // profiles evolve per symbol under the per-UE Doppler.
-  cd h(uint32_t s, uint32_t sc, uint32_t r, uint32_t l) const {
-    return row(s, r, l)[sc];
-  }
+  cd h(uint32_t s, uint32_t sc, uint32_t r, uint32_t l) const;
 
-  // The same response on all n_sc sub-carriers: row (s, r, l) of the
-  // stored response, contiguous in sub-carrier order.
-  std::span<const cd> row(uint32_t s, uint32_t r, uint32_t l) const {
-    return {freq_.data() + row_offset(s, r, l), cfg_.n_sc};
-  }
+  // The same response on all n_sc sub-carriers, written to out (n_sc
+  // entries, sub-carrier order).  The flat profile copies its one stored
+  // symbol; TDL profiles sum the row on demand - no [s][r][l][sc] response
+  // is ever stored - with every element starting from +0 and adding the
+  // taps in table order.
+  void row_into(uint32_t s, uint32_t r, uint32_t l, std::span<cd> out) const;
 
   const Channel_config& config() const { return cfg_; }
 
@@ -119,15 +118,22 @@ class Channel {
   static constexpr uint64_t kUeStream = uint64_t{1} << 52;
 
  private:
-  size_t row_offset(uint32_t s, uint32_t r, uint32_t l) const {
-    const size_t symb = cfg_.profile == Channel_profile::flat ? 0 : s;
-    return ((symb * cfg_.n_rx + r) * cfg_.n_ue + l) * cfg_.n_sc;
+  // Offset of row (r, l) in the flat profile's stored response.
+  size_t flat_offset(uint32_t r, uint32_t l) const {
+    return (static_cast<size_t>(r) * cfg_.n_ue + l) * cfg_.n_sc;
+  }
+  // Offset of tap t, antenna r <- UE l, symbol s in taps_.
+  size_t tap_offset(uint32_t s, uint32_t t, uint32_t r, uint32_t l) const {
+    return ((static_cast<size_t>(s) * n_taps_ + t) * cfg_.n_rx + r) *
+               cfg_.n_ue +
+           l;
   }
 
   Channel_config cfg_;
-  uint32_t n_taps_ = 0;   // TDL tap count
-  std::vector<cd> taps_;  // TDL: [s][t][r][l]
-  std::vector<cd> freq_;  // response [s][r][l][sc]; flat stores one symbol
+  uint32_t n_taps_ = 0;    // TDL tap count
+  std::vector<cd> taps_;   // TDL: [s][t][r][l]
+  std::vector<cd> phase_;  // TDL: tap delay phase ramp [t][sc]
+  std::vector<cd> flat_;   // flat: the one symbol's response [r][l][sc]
 };
 
 // acc[i] += g * x[i] for i < n, on split real and imaginary accumulators:

@@ -122,10 +122,13 @@ Uplink_scenario::Uplink_scenario(const Uplink_config& cfg)
   }
   common::Rng& noise_rng = cfg_.harq_attempt > 0 ? harq_rng : rng_;
 
-  // Channel + OFDM modulation to time domain: one pass per (symbol,
-  // antenna) straight into that antenna's sample row.  Each bin starts from
-  // +0, adds the UE products in index order, then its noise - drawn for the
-  // whole symbol first, in the legacy (sc, r) stream order - and the row is
+  // Channel + OFDM modulation to time domain, one symbol at a time.  The
+  // symbol's channel rows are built once into `rows` and feed both the
+  // per-antenna pass and, on the symbols beam_channel() averages, the beam
+  // channel the pilot observations below measure.  The antenna pass writes
+  // straight into that antenna's sample row: each bin starts from +0, adds
+  // the UE products in index order, then its noise - drawn for the whole
+  // symbol first, in the legacy (sc, r) stream order - and the row is
   // inverse-transformed in place (docs/DETERMINISM.md §9 rule 5).
   const double noise_amp = std::sqrt(cfg_.sigma2);
   // Normalize so time samples keep Q15 headroom; the receiver's 1/N FFT
@@ -133,8 +136,14 @@ Uplink_scenario::Uplink_scenario(const Uplink_config& cfg)
   const double time_norm = std::sqrt(static_cast<double>(cfg_.fft_size));
   // One symbol's noise, [r][sc].
   std::vector<cd> noise(static_cast<size_t>(cfg_.n_rx) * cfg_.n_sc);
+  std::vector<cd> rows, h_eff, h_symb;
   time_.resize(cfg_.n_symb);
   for (uint32_t s = 0; s < cfg_.n_symb; ++s) {
+    // The flat response is time-invariant: symbol 0's rows serve them all.
+    if (s == 0 || cfg_.profile != Channel_profile::flat) {
+      channel_rows_into(s, rows);
+    }
+    if (s < n_mean_symbols()) fold_beam_channel(s, rows, h_eff, h_symb);
     for (uint32_t sc = 0; sc < cfg_.n_sc; ++sc) {
       for (uint32_t r = 0; r < cfg_.n_rx; ++r) {
         noise[static_cast<size_t>(r) * cfg_.n_sc + sc] =
@@ -148,8 +157,8 @@ Uplink_scenario::Uplink_scenario(const Uplink_config& cfg)
       double* ys = reinterpret_cast<double*>(y.data());
       for (uint32_t l = 0; l < cfg_.n_ue; ++l) {
         // y += h * x with the product written out as (ac - bd, ad + bc).
-        const double* hs =
-            reinterpret_cast<const double*>(chan_.row(s, r, l).data());
+        const double* hs = reinterpret_cast<const double*>(
+            rows.data() + (static_cast<size_t>(r) * cfg_.n_ue + l) * cfg_.n_sc);
         const double* xs = reinterpret_cast<const double*>(grids_[l][s].data());
         for (size_t sc = 0; sc < cfg_.n_sc; ++sc) {
           const double hr = hs[2 * sc], hi = hs[2 * sc + 1];
@@ -165,9 +174,9 @@ Uplink_scenario::Uplink_scenario(const Uplink_config& cfg)
     }
   }
 
-  // Ideal code-separated pilot observations in the beam domain.
+  // Ideal code-separated pilot observations in the beam domain, against
+  // h_eff = beam_channel().
   pilot_obs_.resize(cfg_.n_ue);
-  const auto h_eff = beam_channel();
   const double pilot_noise_amp = std::sqrt(cfg_.sigma2 / (2.0 * cfg_.n_ue));
   for (uint32_t l = 0; l < cfg_.n_ue; ++l) {
     pilot_obs_[l].resize(static_cast<size_t>(cfg_.n_sc) * cfg_.n_beams);
@@ -182,10 +191,24 @@ Uplink_scenario::Uplink_scenario(const Uplink_config& cfg)
   }
 }
 
-std::vector<cd> Uplink_scenario::beam_channel(uint32_t s) const {
+void Uplink_scenario::channel_rows_into(uint32_t s,
+                                        std::vector<cd>& rows) const {
+  rows.resize(static_cast<size_t>(cfg_.n_rx) * cfg_.n_ue * cfg_.n_sc);
+  for (uint32_t r = 0; r < cfg_.n_rx; ++r) {
+    for (uint32_t l = 0; l < cfg_.n_ue; ++l) {
+      chan_.row_into(
+          s, r, l,
+          {rows.data() + (static_cast<size_t>(r) * cfg_.n_ue + l) * cfg_.n_sc,
+           cfg_.n_sc});
+    }
+  }
+}
+
+void Uplink_scenario::beam_channel_into(const std::vector<cd>& rows,
+                                        std::vector<cd>& h_eff) const {
   // One (beam, UE) row at a time across sub-carriers, antennas summed in
   // index order from +0, then scattered into the [sc][b][l] layout.
-  std::vector<cd> h_eff(static_cast<size_t>(cfg_.n_sc) * cfg_.n_beams * cfg_.n_ue);
+  h_eff.resize(static_cast<size_t>(cfg_.n_sc) * cfg_.n_beams * cfg_.n_ue);
   std::vector<double> acc_re(cfg_.n_sc), acc_im(cfg_.n_sc);
   for (uint32_t b = 0; b < cfg_.n_beams; ++b) {
     for (uint32_t l = 0; l < cfg_.n_ue; ++l) {
@@ -193,8 +216,9 @@ std::vector<cd> Uplink_scenario::beam_channel(uint32_t s) const {
       std::fill(acc_im.begin(), acc_im.end(), 0.0);
       for (uint32_t r = 0; r < cfg_.n_rx; ++r) {
         cmac_split(codebook_[static_cast<size_t>(r) * cfg_.n_beams + b],
-                   chan_.row(s, r, l).data(), acc_re.data(), acc_im.data(),
-                   cfg_.n_sc);
+                   rows.data() +
+                       (static_cast<size_t>(r) * cfg_.n_ue + l) * cfg_.n_sc,
+                   acc_re.data(), acc_im.data(), cfg_.n_sc);
       }
       for (uint32_t sc = 0; sc < cfg_.n_sc; ++sc) {
         h_eff[(static_cast<size_t>(sc) * cfg_.n_beams + b) * cfg_.n_ue + l] =
@@ -202,24 +226,42 @@ std::vector<cd> Uplink_scenario::beam_channel(uint32_t s) const {
       }
     }
   }
-  return h_eff;
+}
+
+uint32_t Uplink_scenario::n_mean_symbols() const {
+  return cfg_.profile == Channel_profile::flat
+             ? 1
+             : std::max(1u, cfg_.n_pilot_symb);
+}
+
+void Uplink_scenario::fold_beam_channel(uint32_t s,
+                                        const std::vector<cd>& rows,
+                                        std::vector<cd>& mean,
+                                        std::vector<cd>& scratch) const {
+  if (s == 0) {
+    beam_channel_into(rows, mean);
+  } else {
+    beam_channel_into(rows, scratch);
+    for (size_t i = 0; i < mean.size(); ++i) mean[i] += scratch[i];
+  }
+  // Flat: symbol 0 is the channel, undivided, so the pre-profile result
+  // holds bit for bit (no mean-of-identical rounding).
+  if (cfg_.profile != Channel_profile::flat && s + 1 == n_mean_symbols()) {
+    for (auto& v : mean) v /= static_cast<double>(n_mean_symbols());
+  }
 }
 
 std::vector<cd> Uplink_scenario::beam_channel() const {
-  // Flat: time-invariant - symbol 0 IS the channel, and the single-symbol
-  // path keeps the pre-profile result bit-for-bit (no mean-of-identical
-  // rounding).  TDL: the code-separated pilot observation measures the mean
-  // of the fading over the pilot symbols, so that mean is the channel the
-  // CHE should recover (and the one channel_mse scores against).
-  if (cfg_.profile == Channel_profile::flat) return beam_channel(0);
-  const uint32_t np = std::max(1u, cfg_.n_pilot_symb);
-  std::vector<cd> acc = beam_channel(0);
-  for (uint32_t s = 1; s < np; ++s) {
-    const auto hs = beam_channel(s);
-    for (size_t i = 0; i < acc.size(); ++i) acc[i] += hs[i];
+  // Flat: time-invariant - symbol 0 IS the channel.  TDL: the
+  // code-separated pilot observation measures the mean of the fading over
+  // the pilot symbols, so that mean is the channel the CHE should recover
+  // (and the one channel_mse scores against).
+  std::vector<cd> rows, mean, scratch;
+  for (uint32_t s = 0; s < n_mean_symbols(); ++s) {
+    channel_rows_into(s, rows);
+    fold_beam_channel(s, rows, mean, scratch);
   }
-  for (auto& v : acc) v /= static_cast<double>(np);
-  return acc;
+  return mean;
 }
 
 const std::vector<cd>& Uplink_scenario::pilot_obs_beam(uint32_t l) const {

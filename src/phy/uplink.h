@@ -95,10 +95,6 @@ class Uplink_scenario {
     return time_[s][r];
   }
 
-  // Effective beam-domain channel during OFDM symbol s:
-  // h_eff[sc][b][l] = sum_r B[r][b] h(s, sc, r, l).
-  std::vector<cd> beam_channel(uint32_t s) const;
-
   // The beam-domain channel the CHE should estimate: the flat profile's
   // time-invariant response, or - for TDL profiles, where the channel moves
   // under Doppler - the mean over the pilot symbols, which is what the
@@ -113,6 +109,21 @@ class Uplink_scenario {
   const std::vector<cd>& pilot_obs_beam(uint32_t l) const;
 
  private:
+  // Channel rows of symbol s, [r][l][sc] (n_rx * n_ue * n_sc entries).
+  void channel_rows_into(uint32_t s, std::vector<cd>& rows) const;
+  // Beam-domain channel of one symbol's channel rows:
+  // h_eff[sc][b][l] = sum_r B[r][b] h(s, sc, r, l).
+  void beam_channel_into(const std::vector<cd>& rows,
+                         std::vector<cd>& h_eff) const;
+  // Symbols beam_channel() averages: symbol 0 on the flat profile, the
+  // pilot symbols on TDL profiles.
+  uint32_t n_mean_symbols() const;
+  // Folds symbol s (< n_mean_symbols(), in order) into the running
+  // beam_channel() result `mean`; `scratch` holds the symbol's own term.
+  void fold_beam_channel(uint32_t s, const std::vector<cd>& rows,
+                         std::vector<cd>& mean,
+                         std::vector<cd>& scratch) const;
+
   Uplink_config cfg_;
   common::Rng rng_;
   Channel chan_;

@@ -31,8 +31,10 @@ double seconds_since(Clock::time_point t0) {
 }
 
 // Hand-off between a worker's front and back thread in pipelined mode: a
-// one-deep mailbox, i.e. the double buffer - the back thread equalizes slot
-// n while the front thread's FFT+beamforming of slot n+1 fills the mailbox.
+// one-deep mailbox.  The front thread hands a slot over only when the
+// mailbox is empty and never waits for it to drain; the back thread takes
+// a waiting slot without blocking, and blocks only once the job stream is
+// exhausted.
 struct Front_item {
   uint64_t index = 0;
   std::unique_ptr<const phy::Uplink_scenario> sc;
@@ -42,11 +44,14 @@ struct Front_item {
 
 class Front_mailbox {
  public:
-  void push(Front_item item) {
-    std::unique_lock<std::mutex> lock(m_);
-    cv_.wait(lock, [&] { return !item_.has_value(); });
+  // Moves `item` in if the mailbox is empty; otherwise leaves it with the
+  // caller and returns false.
+  bool try_push(Front_item& item) {
+    std::lock_guard<std::mutex> lock(m_);
+    if (item_.has_value()) return false;
     item_.emplace(std::move(item));
     cv_.notify_all();
+    return true;
   }
 
   void close() {
@@ -55,28 +60,38 @@ class Front_mailbox {
     cv_.notify_all();
   }
 
+  // The waiting item, if any.
+  std::optional<Front_item> try_pop() {
+    std::lock_guard<std::mutex> lock(m_);
+    return take();
+  }
+
+  // Blocks until an item arrives (returned) or the mailbox is closed
+  // empty (nullopt).
   std::optional<Front_item> pop() {
     std::unique_lock<std::mutex> lock(m_);
     cv_.wait(lock, [&] { return item_.has_value() || closed_; });
-    if (!item_.has_value()) return std::nullopt;
-    std::optional<Front_item> out = std::move(item_);
-    item_.reset();
-    cv_.notify_all();
-    return out;
+    return take();
   }
 
  private:
+  std::optional<Front_item> take() {
+    std::optional<Front_item> out = std::move(item_);
+    item_.reset();
+    return out;
+  }
+
   std::mutex m_;
   std::condition_variable cv_;
   std::optional<Front_item> item_;
   bool closed_ = false;
 };
 
-// Recycled Slot_front storage for one front/back thread pair: the back
-// thread returns consumed fronts, so the front thread's next
-// run_front_into() reuses the grown beam grid instead of allocating.  The
-// mailbox is one deep, so at most two fronts are ever in flight per pair;
-// the cap is slack on top of that.
+// Recycled Slot_front storage for one front/back thread pair: consumed
+// fronts come back here, so the front thread's next run_front_into()
+// reuses the grown beam grid instead of allocating.  At most three fronts
+// are ever in flight per pair (the front thread's, the mailbox's and the
+// back thread's); the cap is slack on top of that.
 class Front_pool {
  public:
   Slot_front take() {
@@ -190,12 +205,14 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
   uint32_t workers_used = 0;
 
   // Per-worker state persists across HARQ rounds: the backends (and the
-  // slot workspaces they grew on round 0), the summary-mode result scratch,
-  // and the pipelined mode's recycled Slot_front storage.
+  // slot workspaces they grew on round 0), the summary-mode result scratch
+  // (one per whole-slot or back thread, one per front thread), and the
+  // pipelined mode's recycled Slot_front storage.
   std::vector<std::unique_ptr<Backend>> whole_backends;
   std::vector<std::unique_ptr<Backend>> front_backends, back_backends;
-  std::vector<Slot_result> scratch;
+  std::vector<Slot_result> scratch, front_scratch;
   std::vector<std::unique_ptr<Front_pool>> front_pools;
+  std::atomic<uint64_t> handoffs{0};
 
   // Execute jobs[first..jobs.size()) that survived admission - the whole
   // initial stream on round 0, each round's retransmissions afterwards.
@@ -238,6 +255,7 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
     if (pipelined) {
       if (front_backends.size() < workers) front_backends.resize(workers);
       if (back_backends.size() < workers) back_backends.resize(workers);
+      if (front_scratch.size() < workers) front_scratch.resize(workers);
       while (front_pools.size() < workers) {
         front_pools.push_back(std::make_unique<Front_pool>());
       }
@@ -247,66 +265,88 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
     auto record = [&](uint64_t i, const Slot_result& r) {
       stats[i] = {r.evm, r.ber, r.sigma2_hat, r.total_cycles()};
     };
+    auto backend_of = [&](std::unique_ptr<Backend>& slot) -> Backend& {
+      if (!slot) slot = make_backend(opt_.backend, opt_.intra);
+      return *slot;
+    };
+    // Synthesizes job i's scenario and serves it whole on `backend`.
+    auto serve_whole = [&](uint64_t i, Backend& backend, Slot_result& spare) {
+      const auto t_synth = Clock::now();
+      const phy::Uplink_scenario sc(verdicts[i].cfg);
+      wall_synth[i] = seconds_since(t_synth);
+      const auto t0 = Clock::now();
+      Slot_result& dst = retain ? slots[i] : spare;
+      pipeline.execute_into(sc, backend, dst);
+      wall_service[i] = seconds_since(t0);
+      record(i, dst);
+    };
+    // Runs the back half of a fronted slot on `backend`.
+    auto finish = [&](Front_item& item, Backend& backend, Slot_result& spare,
+                      Front_pool& pool) {
+      const auto t0 = Clock::now();
+      Slot_result& dst = retain ? slots[item.index] : spare;
+      backend.run_back_into(pipeline, *item.sc, item.front, dst);
+      wall_service[item.index] = item.front_seconds + seconds_since(t0);
+      record(item.index, dst);
+      pool.put(std::move(item.front));
+    };
 
     // Plain mode: each worker runs whole slots, exactly the old sweep
     // engine.
     auto work_whole = [&](uint32_t w) {
-      if (!whole_backends[w]) {
-        whole_backends[w] = make_backend(opt_.backend, opt_.intra);
-      }
-      Backend& backend = *whole_backends[w];
+      Backend& backend = backend_of(whole_backends[w]);
       for (;;) {
         const uint64_t p = cursor.fetch_add(1, std::memory_order_relaxed);
         if (p >= exec.size()) break;
-        const uint64_t i = exec[p];
-        const auto t_synth = Clock::now();
-        const phy::Uplink_scenario sc(verdicts[i].cfg);
-        wall_synth[i] = seconds_since(t_synth);
-        const auto t0 = Clock::now();
-        Slot_result& dst = retain ? slots[i] : scratch[w];
-        pipeline.execute_into(sc, backend, dst);
-        wall_service[i] = seconds_since(t0);
-        record(i, dst);
+        serve_whole(exec[p], backend, scratch[w]);
       }
     };
 
-    // Pipelined mode: the worker becomes two threads with private backends.
-    // The front thread owns scenario generation + FFT + beamforming of the
-    // next slot while the back thread finishes the previous one; consumed
-    // Slot_fronts cycle back through the pair's Front_pool.
+    // Pipelined mode: the worker becomes two threads with private backends,
+    // and neither waits while the other has work.  The front thread
+    // synthesizes each scenario it pulls and runs its FFT + beamforming,
+    // then hands the slot to the back thread if the mailbox is empty, or
+    // else runs the back half itself.  The back thread equalizes handed
+    // slots; when none is waiting it pulls the next job from the shared
+    // cursor and serves it whole.  Every result still lands at its job
+    // index, so which thread finished a slot changes nothing but the clock.
     auto work_front = [&](uint32_t w, Front_mailbox& box) {
-      if (!front_backends[w]) {
-        front_backends[w] = make_backend(opt_.backend, opt_.intra);
-      }
-      Backend& backend = *front_backends[w];
+      Backend& backend = backend_of(front_backends[w]);
       for (;;) {
         const uint64_t p = cursor.fetch_add(1, std::memory_order_relaxed);
         if (p >= exec.size()) break;
-        const uint64_t i = exec[p];
+        Front_item item;
+        item.index = exec[p];
         const auto t_synth = Clock::now();
-        auto sc =
-            std::make_unique<const phy::Uplink_scenario>(verdicts[i].cfg);
-        wall_synth[i] = seconds_since(t_synth);
-        Slot_front front = front_pools[w]->take();
+        item.sc = std::make_unique<const phy::Uplink_scenario>(
+            verdicts[item.index].cfg);
+        wall_synth[item.index] = seconds_since(t_synth);
+        item.front = front_pools[w]->take();
         const auto t0 = Clock::now();
-        backend.run_front_into(pipeline, *sc, front);
-        const double dt = seconds_since(t0);
-        box.push(Front_item{i, std::move(sc), std::move(front), dt});
+        backend.run_front_into(pipeline, *item.sc, item.front);
+        item.front_seconds = seconds_since(t0);
+        if (box.try_push(item)) {
+          handoffs.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          finish(item, backend, front_scratch[w], *front_pools[w]);
+        }
       }
       box.close();
     };
     auto work_back = [&](uint32_t w, Front_mailbox& box) {
-      if (!back_backends[w]) {
-        back_backends[w] = make_backend(opt_.backend, opt_.intra);
-      }
-      Backend& backend = *back_backends[w];
-      while (auto item = box.pop()) {
-        const auto t0 = Clock::now();
-        Slot_result& dst = retain ? slots[item->index] : scratch[w];
-        backend.run_back_into(pipeline, *item->sc, item->front, dst);
-        wall_service[item->index] = item->front_seconds + seconds_since(t0);
-        record(item->index, dst);
-        front_pools[w]->put(std::move(item->front));
+      Backend& backend = backend_of(back_backends[w]);
+      for (;;) {
+        std::optional<Front_item> item = box.try_pop();
+        if (!item) {
+          const uint64_t p = cursor.fetch_add(1, std::memory_order_relaxed);
+          if (p < exec.size()) {
+            serve_whole(exec[p], backend, scratch[w]);
+            continue;
+          }
+          item = box.pop();  // the stream is drained: wait for the front
+          if (!item) break;
+        }
+        finish(*item, backend, scratch[w], *front_pools[w]);
       }
     };
 
@@ -501,6 +541,7 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
   out.pipelined = pipelined;
   out.total_slots = n_jobs;
   out.wall_seconds = wall_seconds;
+  out.handoffs = handoffs.load(std::memory_order_relaxed);
   out.shards.resize(n_shards);
 
   out.groups.resize(src.n_groups());
@@ -662,17 +703,23 @@ std::string Schedule_result::str() const {
     }
     shard_table = st.str();
   }
+  char handed[64] = "";
+  if (pipelined) {
+    std::snprintf(handed, sizeof handed, ", %llu hand-off%s",
+                  static_cast<unsigned long long>(handoffs),
+                  handoffs == 1 ? "" : "s");
+  }
   char footer[512];
   std::snprintf(
       footer, sizeof footer,
       "%llu slots from '%s' on the %s backend, %u worker%s%s: %.3f s wall, "
-      "%.1f slots/s, synthesis p50 %.1f us\nvirtual clock: makespan %.3f "
+      "%.1f slots/s, synthesis p50 %.1f us%s\nvirtual clock: makespan %.3f "
       "ms, latency p50/p99/p999 %.1f/%.1f/%.1f us, %llu/%llu deadline "
       "misses\n",
       static_cast<unsigned long long>(total_slots), source.c_str(),
       backend.c_str(), workers, workers == 1 ? "" : "s",
       pipelined ? " (stage-pipelined)" : "", wall_seconds, slots_per_second(),
-      1e6 * wall_synth.percentile(0.50), 1e3 * virtual_makespan_s,
+      1e6 * wall_synth.percentile(0.50), handed, 1e3 * virtual_makespan_s,
       1e6 * latency.percentile(0.50), 1e6 * latency.percentile(0.99),
       1e6 * latency.percentile(0.999),
       static_cast<unsigned long long>(deadline_misses),

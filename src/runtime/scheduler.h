@@ -12,11 +12,15 @@
 //                     traffic with Poisson arrivals.
 //   Slot_scheduler    a worker pool pulling job indices from an atomic
 //                     cursor, one private Backend per worker; optionally
-//                     stage-pipelined: each
-//                     worker becomes a front thread (OFDM FFT + beamforming
-//                     of slot n+1) and a back thread (CHE/NE/LMMSE MIMO of
-//                     slot n) connected by a double buffer, composing with
-//                     the "parallel" backend's intra-slot split.
+//                     stage-pipelined: each worker becomes a front thread
+//                     (synthesis, OFDM FFT + beamforming of slot n+1) and a
+//                     back thread (CHE/NE/LMMSE MIMO of slot n) connected
+//                     by a one-deep mailbox.  Neither thread idles while
+//                     there is work: the front thread finishes its own slot
+//                     when the mailbox is full, and the back thread serves
+//                     whole slots from the cursor when it is empty.
+//                     Composes with the "parallel" backend's intra-slot
+//                     split.
 //   sharding          the serving engine runs as `shards` scheduler shards,
 //                     each owning one virtual cluster's worth of service
 //                     units and its own FCFS virtual-clock queue.  Source
@@ -85,7 +89,8 @@ struct Scheduler_options {
   std::string backend = "reference";  // make_backend() name
   uint32_t intra = 1;    // intra-slot workers ("parallel" and "fixed")
   // Stage-pipelined execution: overlap the front half of slot n+1 with the
-  // back half of slot n (2 threads per worker, double-buffered hand-off).
+  // back half of slot n (2 threads per worker, one-deep mailbox hand-off;
+  // each thread serves whole slots while the other has none to give it).
   // Silently ignored when the backend cannot split (Backend::can_split());
   // the effective setting is reported in Schedule_result::pipelined.
   bool pipelined = false;
@@ -231,6 +236,9 @@ struct Schedule_result : Serving_counters {
   Latency_histogram wall_service;
   Latency_histogram wall_synth;
   double wall_seconds = 0.0;
+  // Executed slots whose front half crossed the front->back mailbox (0
+  // unless pipelined); the rest ran whole on one thread of their pair.
+  uint64_t handoffs = 0;
 
   std::string source;
   std::string backend;
@@ -258,8 +266,8 @@ struct Schedule_result : Serving_counters {
   // (groups, shards, admission counters, latency histograms, deadline
   // counters, virtual makespan, cycle/slot totals) - deliberately excluding
   // the host-dependent fields (wall clock, wall-service and wall-synth
-  // histograms, workers, pipelined).  This is the single definition the
-  // worker-invariance re-checks use (bench_serve_latency,
+  // histograms, hand-offs, workers, pipelined).  This is the single
+  // definition the worker-invariance re-checks use (bench_serve_latency,
   // tests/test_scheduler.cpp), so a new deterministic field only needs
   // adding here.
   bool deterministic_equal(const Schedule_result& o) const;

@@ -433,6 +433,68 @@ TEST(Scheduler, ServedRateAndSynthesisTimesCountExecutedSlotsOnly) {
     EXPECT_EQ(res.wall_synth.count(), executed);
     EXPECT_EQ(res.wall_service.count(), executed);
     EXPECT_GT(res.wall_synth.max_recorded(), 0.0);
+    // Only pipelined runs hand slots from a front to a back thread, and at
+    // most once per executed slot; the footer reports the count then.
+    if (pipelined) {
+      EXPECT_LE(res.handoffs, executed);
+    } else {
+      EXPECT_EQ(res.handoffs, 0u);
+    }
+    EXPECT_EQ(res.str().find(" hand-off") != std::string::npos, pipelined);
+  }
+}
+
+TEST(Scheduler, WorkConservingPipelineMatchesWholeSlotServing) {
+  // Cheap flat 64-point slots mixed with 256-point TDL-A slots whose
+  // synthesis dominates: the back thread of a pair idles behind its front
+  // thread and serves whole slots from the cursor, and a front thread that
+  // finds the mailbox full runs the back half itself.  Which thread ends up
+  // finishing a slot varies from run to run; the results must not.  Drop
+  // admission and one HARQ round put both an admission-thinned stream and
+  // a short retransmission round through the pairs.
+  Traffic_config cfg;
+  cfg.n_slots = 24;
+  cfg.base_seed = 5;
+  Traffic_cell flat;
+  flat.mu = 1;
+  flat.fft_size = 64;
+  flat.n_ue = 1;
+  flat.qam = phy::Qam::qpsk;
+  flat.load = 1.2;
+  Traffic_cell tdl;
+  tdl.mu = 1;
+  tdl.fft_size = 256;
+  tdl.n_ue = 2;
+  tdl.snr_db = 14.0;  // some blocks fail and retransmit
+  tdl.load = 0.6;
+  tdl.profile = phy::Channel_profile::tdl_a;
+  tdl.doppler_hz = 10.0;
+  cfg.cells = {flat, tdl};
+  const Traffic_source src(cfg);
+
+  Scheduler_options opt;
+  opt.backend = "fixed";
+  opt.overload = "drop";
+  opt.clock_ghz = 0.004;  // slow virtual clock: admission drops some jobs
+  opt.max_harq = 1;
+  opt.harq_ber = 0.001;
+  opt.workers = 1;
+  const auto whole = Slot_scheduler(opt).run(src);
+  ASSERT_FALSE(whole.pipelined);
+  ASSERT_GT(whole.dropped, 0u);
+  ASSERT_GT(whole.harq_retx, 0u);
+
+  opt.pipelined = true;
+  for (const uint32_t workers : {1u, 2u}) {
+    opt.workers = workers;
+    for (int run = 0; run < 4; ++run) {
+      const auto res = Slot_scheduler(opt).run(src);
+      ASSERT_TRUE(res.pipelined);
+      expect_slots_identical(res.slots, whole.slots);
+      EXPECT_TRUE(res.deterministic_equal(whole))
+          << workers << " workers, run " << run;
+      EXPECT_LE(res.handoffs, res.total_slots - res.dropped);
+    }
   }
 }
 
