@@ -12,8 +12,8 @@
 # (bench/baselines/quick.json, deterministic metrics only), a
 # PP_COUNT_ALLOCS build of the serving benches that gates the
 # zero-steady-state-allocation workspace contract, and an ASan+UBSan build
-# of the receive-chain, scheduler and Q15 kernel suites.  Suitable as a CI
-# entry point; exits non-zero on any failure.
+# of the receive-chain, scheduler, Q15 kernel and simulator suites.
+# Suitable as a CI entry point; exits non-zero on any failure.
 #
 # CHECK_TSAN=1 additionally builds the concurrency tests (slot scheduler,
 # sweep engine, traffic source, shared lazy tables, parallel + fixed
@@ -168,16 +168,19 @@ cmake --build "$ALLOC_DIR" -j "$JOBS" \
 "$ALLOC_DIR"/bench/bench_fixed_host --fft 256 --symb 4 > /dev/null
 echo "steady-state serving loop allocates nothing after warm-up"
 
-echo "--- ASan+UBSan build of the receive-chain, scheduler and Q15 suites ---"
+echo "--- ASan+UBSan build of the receive-chain, scheduler, Q15 and simulator suites ---"
 # Separate build tree with the address and undefined-behaviour sanitizers:
 # the receive chain on every backend (phy, pipeline, workspace, parallel,
 # fixed, sim chain), the channel profiles and traffic source, the scheduler
 # and grid sweeps, HARQ and the
 # cross-backend scenario parity, plus the fixed-point and kernel tests (the
 # Q15 layer's saturation corners are exactly where signed-overflow UB would
-# hide).  ctest runs every test of the built targets; the other targets
-# only leave *_NOT_BUILT placeholders.  On a 4-vCPU x86-64 host this step
-# adds about 4 minutes, nearly all of it the build.
+# hide), and the simulator suites (core, fuzz, edge cases, barriers,
+# runtime, kernel configurations, fast-path differential: the event ring's
+# reused buckets, the far-event queue and the per-job machine lifetimes of
+# the streamed roll-up).  ctest runs every test of the built targets; the
+# other targets only leave *_NOT_BUILT placeholders.  On a 4-vCPU x86-64
+# host this step adds about 5 minutes, nearly all of it the build.
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -187,7 +190,9 @@ cmake --build "$ASAN_DIR" -j "$JOBS" \
            test_backend_fixed test_sim_chain test_scheduler test_sweep \
            test_harq test_scenario_parity test_fixed_point test_fft \
            test_mmm test_cholesky test_che_ne test_gram \
-           test_channel_profiles test_traffic
+           test_channel_profiles test_traffic test_sim_core test_sim_fuzz \
+           test_sim_edge test_sim_barrier test_runtime test_kernel_configs \
+           test_sim_differential
 ctest --test-dir "$ASAN_DIR" --output-on-failure --no-tests=error \
   -j "$JOBS" -E '_NOT_BUILT$'
 

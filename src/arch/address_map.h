@@ -25,6 +25,8 @@ using addr_t = uint32_t;
 class Address_map {
  public:
   explicit Address_map(const Cluster_config& cfg) : cfg_(&cfg) {}
+  // Holds a pointer to the config: a temporary would dangle.
+  explicit Address_map(const Cluster_config&&) = delete;
 
   bank_id bank_of(addr_t a) const { return a % cfg_->n_banks(); }
   uint32_t row_of(addr_t a) const { return a / cfg_->n_banks(); }
@@ -53,6 +55,8 @@ class Address_map {
 class L1_alloc {
  public:
   explicit L1_alloc(const Cluster_config& cfg) : cfg_(&cfg), map_(cfg) {}
+  // Holds a pointer to the config: a temporary would dangle.
+  explicit L1_alloc(const Cluster_config&&) = delete;
 
   // Allocate an interleaved array of n words; returns its base address
   // (always at bank 0 of a fresh row).

@@ -69,11 +69,10 @@ struct Cluster_config {
   group_id group_of_bank(bank_id b) const {
     return tile_of_bank(b) / tiles_per_group;
   }
-  // The four banks directly local to a core sit in its tile, contiguously.
-  bank_id first_local_bank(core_id c) const {
-    return tile_of_core(c) * banks_per_tile() +
-           (c % cores_per_tile) * banks_per_core;
-  }
+  // The four banks directly local to a core sit in its tile, contiguously:
+  // tile(c) * banks_per_tile + (c % cores_per_tile) * banks_per_core, which
+  // tile-major numbering makes exactly c * banks_per_core.
+  bank_id first_local_bank(core_id c) const { return c * banks_per_core; }
 
   Locality locality(core_id c, bank_id b) const {
     if (tile_of_core(c) == tile_of_bank(b)) return Locality::tile;

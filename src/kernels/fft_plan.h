@@ -47,11 +47,14 @@ struct Fft_geom {
 
   // Butterfly distance at stage k.
   uint32_t d(uint32_t k) const { return n >> (2 * (k + 1)); }
+  // log2 of d(k) (k < stages): index math below is shifts and masks.
+  uint32_t d_log2(uint32_t k) const { return 2 * (stages - 1 - k); }
 
-  // First input element of butterfly g at stage k.
+  // First input element of butterfly g at stage k:
+  // (g / d) * 4d + g % d.
   uint32_t base(uint32_t k, uint32_t g) const {
-    const uint32_t dk = d(k);
-    return (g / dk) * 4 * dk + (g % dk);
+    const uint32_t s = d_log2(k);
+    return ((g >> s) << (s + 2)) | (g & ((1u << s) - 1));
   }
 
   // Logical index of input/output j (0..3) of butterfly g at stage k.
@@ -65,8 +68,9 @@ struct Fft_geom {
     uint32_t g, j;
   };
   Gj locate(uint32_t k, uint32_t i) const {
-    const uint32_t dk = d(k);
-    return {(i / (4 * dk)) * dk + (i % dk), (i / dk) % 4};
+    // g = (i / 4d) * d + i % d, j = (i / d) % 4.
+    const uint32_t s = d_log2(k);
+    return {((i >> (s + 2)) << s) | (i & ((1u << s) - 1)), (i >> s) & 3};
   }
 
   // Owning core (within the FFT's core gang) and local slot (0..15) of
@@ -77,7 +81,7 @@ struct Fft_geom {
   };
   Cs place(uint32_t k, uint32_t i) const {
     const Gj gj = locate(k, i);
-    return {gj.g / 4, (gj.g % 4) * 4 + gj.j};
+    return {gj.g >> 2, ((gj.g & 3) << 2) | gj.j};
   }
 
   // Twiddle exponent (over W_n) applied to output m of butterfly g, stage k.

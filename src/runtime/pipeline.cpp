@@ -105,9 +105,6 @@ Rollup_result Pipeline::measure(const Measure_options& opt) const {
   struct Job {
     const Stage_spec* spec = nullptr;
     bool is_serial = false;
-    std::unique_ptr<sim::Machine> m;
-    std::unique_ptr<arch::L1_alloc> alloc;
-    std::unique_ptr<Kernel> kernel;
     std::string key;
     sim::Kernel_report rep;
     std::string label;  // kernel->desc().label(), surviving memo hits
@@ -124,16 +121,15 @@ Rollup_result Pipeline::measure(const Measure_options& opt) const {
     j.spec = &spec;
     j.is_serial = true;
   }
+  auto exec_of = [](const Job& j) -> const Exec_spec& {
+    return j.is_serial ? j.spec->serial : j.spec->run;
+  };
 
-  // Serial pre-pass in declaration order: memo lookups, machine/kernel
-  // construction and input binding.  Binding here keeps the shared stimulus
-  // Rng's draw sequence a pure function of the stage list, independent of
-  // shard count (and launch cycles are data-independent, so memo hits that
-  // skip their draws leave every other report unchanged).
+  // Memo lookups, all against the memo as this call found it.
   {
     std::lock_guard<std::mutex> lock(launch_memo_mutex);
     for (Job& j : jobs) {
-      const Exec_spec& exec = j.is_serial ? j.spec->serial : j.spec->run;
+      const Exec_spec& exec = exec_of(j);
       j.key = launch_memo_key(ckey, reference, exec.kernel,
                               kernel_params(exec));
       if (opt.reuse_reports) {
@@ -142,29 +138,48 @@ Rollup_result Pipeline::measure(const Measure_options& opt) const {
           j.rep = it->second.rep;
           j.label = it->second.label;
           j.memoized = true;
-          continue;
         }
       }
-      j.m = std::make_unique<sim::Machine>(cluster_);
-      if (reference) j.m->set_reference_loop(true);
-      j.alloc = std::make_unique<arch::L1_alloc>(j.m->config());
-      j.kernel = make_kernel(exec.kernel, *j.m, *j.alloc, kernel_params(exec));
-      j.label = j.kernel->desc().label();
-      j.kernel->bind_default_inputs(rng);
     }
   }
 
-  // Launch phase: every job owns a private machine, so the reports are
-  // bit-identical for any shard count and partition.
-  auto launch_job = [](Job& j) {
-    if (j.memoized) return;
-    j.rep = j.kernel->launch();
+  // Streamed simulation: each job constructs its machine, binds its inputs,
+  // launches and releases the machine, so at most one machine per worker is
+  // alive.  Workers take jobs from a shared cursor and construct + bind
+  // under its lock: binds run in declaration order, so the shared stimulus
+  // Rng draws the same sequence for any shard count, and launches run
+  // outside the lock, so a bind never waits on a launch.  Memo hits skip
+  // their draws, which leaves every other report unchanged: launch cycles
+  // are data-independent, and every job owns a private machine.
+  std::mutex cursor_mutex;
+  size_t cursor = 0;
+  auto worker = [&](uint32_t) {
+    for (;;) {
+      Job* j = nullptr;
+      std::unique_ptr<sim::Machine> m;
+      std::unique_ptr<arch::L1_alloc> alloc;
+      std::unique_ptr<Kernel> kernel;
+      {
+        std::lock_guard<std::mutex> lock(cursor_mutex);
+        while (cursor < jobs.size() && jobs[cursor].memoized) ++cursor;
+        if (cursor == jobs.size()) return;
+        j = &jobs[cursor++];
+        const Exec_spec& exec = exec_of(*j);
+        m = std::make_unique<sim::Machine>(cluster_);
+        if (reference) m->set_reference_loop(true);
+        alloc = std::make_unique<arch::L1_alloc>(m->config());
+        kernel = make_kernel(exec.kernel, *m, *alloc, kernel_params(exec));
+        j->label = kernel->desc().label();
+        kernel->bind_default_inputs(rng);
+      }
+      j->rep = kernel->launch();
+    }
   };
   if (opt.shards <= 1) {
-    for (Job& j : jobs) launch_job(j);
+    worker(0);
   } else {
     common::Thread_pool pool(opt.shards);
-    pool.parallel_for(jobs.size(), [&](uint64_t i) { launch_job(jobs[i]); });
+    pool.run(worker);
   }
 
   // Index-ordered merge (and memo fill, in the same deterministic order).

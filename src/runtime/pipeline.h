@@ -75,15 +75,19 @@ uint32_t resolve_fft_gangs(const arch::Cluster_config& cluster,
 
 // How Pipeline::measure runs its per-stage simulations.  Every combination
 // of these knobs produces bit-identical Rollup_results: stages run on
-// independent fresh machines, inputs are bound in a serial pre-pass walking
-// stages in declaration order (so the shared stimulus Rng draws in a fixed
+// independent fresh machines, streamed one job at a time - construct the
+// machine, bind its inputs, launch, release - with the binds taken in
+// declaration order (so the shared stimulus Rng draws in a fixed
 // sequence), results merge by stage index, and cycle counts are
 // data-independent by the Kernel contract (kernel.h).  The differential
-// suite (tests/test_sim_differential.cpp) pins the invariances.
+// suite (tests/test_sim_differential.cpp) pins the invariances, and
+// tests/test_pipeline.cpp the live-machine bound.
 struct Measure_options {
   uint64_t seed = 2023;  // stimulus seed (cycle counts do not depend on it)
-  // Host threads running the per-stage machines (>= 1).  Stages are
-  // launched over common::Thread_pool with a static index partition.
+  // Host threads running the per-stage machines (>= 1).  Each takes the
+  // next job from a shared cursor, constructs and binds it under the
+  // cursor's lock and launches it outside, so at most `shards` machines
+  // are alive at once and a bind never waits on a launch.
   uint32_t shards = 1;
   // Reuse launch reports across measure() calls in this process: a stage's
   // report on a fresh machine is a pure function of (cluster, kernel,
@@ -176,7 +180,8 @@ class Pipeline {
   }
 
   // Analytic roll-up: measures each stage once (fresh machine per stage,
-  // synthetic stimulus) and scales by its repetition count.
+  // released after its launch; synthetic stimulus) and scales by its
+  // repetition count.
   Rollup_result measure(uint64_t seed = 2023) const;
   Rollup_result measure(const Measure_options& opt) const;
 

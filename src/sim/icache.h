@@ -13,17 +13,21 @@
 // Both structures sit on the simulator's per-instruction fast path
 // (Core::issue), so they are sized to stay cache-resident: the site table is
 // 4096 entries (the check fires at 2047 live sites; the whole kernel corpus
-// registers a few hundred) and the L0 tags live inline in the core when the
-// configured capacity fits (64 instructions -> 16 lines in every preset).
-// Neither size choice is observable in simulated cycles: slot numbers depend
-// only on first-use order, and the tag array's content is identical either
-// way.
+// registers a few hundred) behind a 256-entry direct-mapped memo, and the
+// L0 tags live inline in the core when the configured capacity fits (64
+// instructions -> 16 lines in every preset).  None of these choices is
+// observable in simulated cycles: slot numbers depend only on first-use
+// order, and the tag array's content is identical either way.
 #ifndef PUSCHPOOL_SIM_ICACHE_H
 #define PUSCHPOOL_SIM_ICACHE_H
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <source_location>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -38,8 +42,24 @@ class Site_registry {
   Site_registry() : table_(capacity) {}
 
   // First slot of this site; registers `n_instrs` consecutive slots on first
-  // use.
+  // use.  A direct-mapped memo keyed on the call site's identity answers
+  // almost every issue without hashing the site or probing the table; a
+  // memo miss takes the table path, so slots still follow first-use order.
   uint32_t lookup(const std::source_location& sl, uint32_t n_instrs) {
+    const uintptr_t id = std::bit_cast<uintptr_t>(sl);
+    Memo& m = memo_[(id * 0x9e3779b97f4a7c15ull) >> (64 - memo_bits)];
+    if (m.id == id) [[likely]] return m.first_slot;
+    m = {id, find(sl, n_instrs)};
+    return m.first_slot;
+  }
+
+ private:
+  // libstdc++ and libc++ represent a source_location as one pointer to a
+  // static per-call-site record, which the memo uses as the site's identity.
+  static_assert(sizeof(std::source_location) == sizeof(uintptr_t) &&
+                std::is_trivially_copyable_v<std::source_location>);
+
+  uint32_t find(const std::source_location& sl, uint32_t n_instrs) {
     uint64_t key = reinterpret_cast<uint64_t>(sl.file_name());
     key = key * 1000003u + static_cast<uint64_t>(sl.line()) * 97u + sl.column();
     key |= 1;  // never 0 (0 marks an empty table entry)
@@ -52,9 +72,12 @@ class Site_registry {
     }
   }
 
- private:
   struct Entry {
     uint64_t key = 0;
+    uint32_t first_slot = 0;
+  };
+  struct Memo {
+    uintptr_t id = ~uintptr_t{0};  // no call site's record lives here
     uint32_t first_slot = 0;
   };
 
@@ -69,6 +92,8 @@ class Site_registry {
   }
 
   static constexpr size_t capacity = 1 << 12;
+  static constexpr unsigned memo_bits = 8;
+  std::array<Memo, size_t{1} << memo_bits> memo_;
   std::vector<Entry> table_;
   size_t used_ = 0;
   uint32_t next_slot_ = 0;
@@ -82,16 +107,16 @@ class L0_icache {
     if (n_lines_ == 0) n_lines_ = 1;
     pow2_mask_ = (n_lines_ & (n_lines_ - 1)) == 0 ? n_lines_ - 1 : 0u;
     inline_.fill(~0u);
-    if (n_lines_ <= inline_lines) {
-      heap_.clear();
-    } else {
-      heap_.assign(n_lines_, ~0u);
+    heap_.reset();
+    if (n_lines_ > inline_lines) {
+      heap_ = std::make_unique<uint32_t[]>(n_lines_);
+      std::fill_n(heap_.get(), n_lines_, ~0u);
     }
   }
 
   // Touch the lines covering slots [first, first + n); returns missing lines.
   uint32_t touch(uint32_t first_slot, uint32_t n_instrs) {
-    uint32_t* tags = heap_.empty() ? inline_.data() : heap_.data();
+    uint32_t* tags = heap_ ? heap_.get() : inline_.data();
     const uint32_t first_line = first_slot / icache_line_instrs;
     const uint32_t last_line = (first_slot + n_instrs - 1) / icache_line_instrs;
     if (first_line == last_line) [[likely]] {
@@ -117,18 +142,19 @@ class L0_icache {
     return pow2_mask_ ? (line & pow2_mask_) : (line % n_lines_);
   }
 
-  // Every preset configures 64 instructions -> 16 lines, held inline in the
-  // Core (no heap indirection per issue); larger configs spill to the heap.
-  static constexpr uint32_t inline_lines = 32;
-  uint32_t n_lines_ = 16;
-  uint32_t pow2_mask_ = 15;
+  // Every preset configures 64 instructions -> 16 lines, whose tags fill
+  // exactly one 64-byte line inline in the Core (no heap indirection per
+  // issue); larger configs spill to the heap.
+  static constexpr uint32_t inline_lines = 16;
   std::array<uint32_t, inline_lines> inline_{
       []() consteval {
         std::array<uint32_t, inline_lines> a{};
         a.fill(~0u);
         return a;
       }()};
-  std::vector<uint32_t> heap_;
+  uint32_t n_lines_ = 16;
+  uint32_t pow2_mask_ = 15;
+  std::unique_ptr<uint32_t[]> heap_;
 };
 
 }  // namespace pp::sim

@@ -75,6 +75,11 @@ Machine::Machine(const arch::Cluster_config& cfg)
     : cfg_(cfg), map_(cfg_), route_(cfg_), mem_(cfg_),
       cores_(cfg_.n_cores()), bank_epoch_(cfg_.n_banks(), 0u),
       bank_owner_(cfg_.n_banks(), -1), buckets_(ring_size) {
+  // A 0-deep LSU would stall the first memory op forever; a depth past the
+  // per-core completion table would silently simulate a shallower queue.
+  PP_CHECK(cfg_.lsu_depth >= 1 && cfg_.lsu_depth <= Core::max_lsu_depth,
+           "lsu_depth must be in [1, 16]: 0 admits no memory op, and the "
+           "core tracks at most Core::max_lsu_depth outstanding ones");
   for (arch::core_id c = 0; c < cfg_.n_cores(); ++c) {
     cores_[c].id = c;
     cores_[c].cfg = &cfg_;

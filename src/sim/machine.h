@@ -62,14 +62,9 @@ struct Tok {
   uint32_t value = 0;
 };
 
-class Core {
+class alignas(64) Core {
  public:
   using Sl = std::source_location;
-
-  // ---- identity ----
-  arch::core_id id = 0;
-  const arch::Cluster_config* cfg = nullptr;
-  Machine* machine = nullptr;
 
   // ---- compute issue (no suspension; local clock runs ahead) ----
 
@@ -162,37 +157,28 @@ class Core {
   void csr_wake(const Wake_set& set, Sl sl = Sl::current());
 
   // ---- state (managed by Machine; kernels only read `t`) ----
+  // Laid out by access frequency on 64-byte lines (Core is line-aligned,
+  // 384 bytes): line 0 holds what every issue and every event dispatch
+  // reads, line 1 the memory op in flight, line 2 the L0 tags, line 3 the
+  // L0 geometry, stall counters and divider, lines 4-5 the LSU completion
+  // times (line 5 only past depth 8).
   uint64_t t = 0;  // local clock (>= machine time at suspension points)
   uint64_t instrs = 0;
-  std::array<uint64_t, n_stall_kinds> stalls{};
-
-  // LSU
-  static constexpr uint32_t max_lsu_depth = 16;
-  std::array<uint64_t, max_lsu_depth> lsu_done{};
-
-  // divider
-  uint64_t div_free = 0;
-
-  // instruction fetch
-  L0_icache l0;
-
+  Machine* machine = nullptr;
+  const arch::Cluster_config* cfg = nullptr;
   // memoized latency row of this core's tile (arch::Route_cache)
   const uint8_t* lat_row = nullptr;
-
-  // coroutine / scheduling state
   std::coroutine_handle<> active{};
-  Prog root;
+  arch::core_id id = 0;
   bool finished = true;
   bool sleeping = false;
   bool pending_wake = false;
-  uint64_t sleep_since = 0;
-  uint64_t wake_at = std::numeric_limits<uint64_t>::max();
+  Prog root;
 
   struct Pending {
-    enum class Kind : uint8_t { none, load, store, amo } kind = Kind::none;
+    uint64_t issue_t = 0;
     arch::addr_t addr = 0;
     uint32_t value = 0;
-    uint64_t issue_t = 0;
     uint32_t lsu_slot = 0;
     // Route resolution (bank + load-to-use latency), computed at issue time:
     // a pure function of the address and the issuing core's tile, so moving
@@ -200,9 +186,24 @@ class Core {
     // consult the bank before deciding how to service the access.
     arch::bank_id bank = 0;
     uint32_t lat = 0;
+    enum class Kind : uint8_t { none, load, store, amo } kind = Kind::none;
   };
   Pending pending;
   Tok pending_result;
+  uint64_t sleep_since = 0;
+  uint64_t wake_at = std::numeric_limits<uint64_t>::max();
+
+  // instruction fetch
+  L0_icache l0;
+
+  std::array<uint64_t, n_stall_kinds> stalls{};
+
+  // divider
+  uint64_t div_free = 0;
+
+  // LSU
+  static constexpr uint32_t max_lsu_depth = 16;
+  std::array<uint64_t, max_lsu_depth> lsu_done{};
 
   void stall(Stall k, uint64_t n) { stalls[static_cast<size_t>(k)] += n; }
 
@@ -217,7 +218,7 @@ class Core {
 
   // Reserve an LSU slot, stalling if the queue is full; returns slot index.
   uint32_t lsu_acquire() {
-    const uint32_t depth = std::min(cfg->lsu_depth, max_lsu_depth);
+    const uint32_t depth = cfg->lsu_depth;  // 1..max_lsu_depth (Machine checks)
     uint32_t in_flight = 0;
     uint32_t free_slot = depth;
     uint64_t earliest = std::numeric_limits<uint64_t>::max();
@@ -247,7 +248,8 @@ class Core {
              "core issued a memory op while one is pending");
     const uint32_t slot = lsu_acquire();
     const uint64_t at = issue(sl, 1, dep, 0);
-    pending = Pending{k, a, value, at, slot};
+    pending = Pending{
+        .issue_t = at, .addr = a, .value = value, .lsu_slot = slot, .kind = k};
     resolve_route();
     return Mem_awaiter{*this};
   }
@@ -280,6 +282,19 @@ class Machine {
   // The process-wide SIM_REFERENCE_LOOP selection new machines start with.
   static bool env_reference_loop();
 
+  // The event ring's horizon in cycles.  An event scheduled at least this
+  // far ahead of the global clock waits in the order-preserving far queue
+  // until the clock catches up.  Sized to the measured event horizon: every
+  // FFT, MMM, CHE, NE and Gram launch schedules over 99.9% of its events
+  // less than 64 cycles ahead and all but at most 64 per launch less than
+  // 256, so the ring's buckets are reused every 256 cycles instead of
+  // growing one fresh vector per simulated cycle.  Besides those few, the
+  // far queue holds owner run-ahead to a closing barrier (the Cholesky and
+  // trisolve kernels: ~1k events per launch) and wake-ups behind a
+  // per-core CSR write train longer than the horizon.
+  static constexpr size_t ring_bits = 8;
+  static constexpr size_t ring_size = size_t{1} << ring_bits;  // 256 cycles
+
   // ---- program execution ----
   struct Launch {
     arch::core_id core;
@@ -294,9 +309,13 @@ class Machine {
   void schedule(arch::core_id c, uint64_t at) {
     PP_CHECK(at >= now_, "event scheduled in the past");
     ++pending_events_;
+    // Both queues bound the synchronous-service shortcut: a parked event
+    // must deny a grant past its cycle exactly as a ring event does.
+    earliest_pending_ = std::min(earliest_pending_, at);
     if (at - now_ >= ring_size) [[unlikely]] {
       // Beyond the ring horizon (a core far ahead of the global clock via
-      // exclusive-bank runs): park it in the far queue until now_ catches up.
+      // exclusive-bank runs, or a wake-up behind a long CSR write train):
+      // park it in the far queue until now_ catches up.
       far_.push_back({at, c});
       far_min_ = std::min(far_min_, at);
       return;
@@ -307,7 +326,6 @@ class Machine {
     const size_t slot = at & (ring_size - 1);
     buckets_[slot].push_back(c);
     occ_[slot >> 6] |= uint64_t{1} << (slot & 63);
-    earliest_pending_ = std::min(earliest_pending_, at);
     ++ring_events_;
   }
   void wake(const Wake_set& set, uint64_t at);
@@ -411,9 +429,10 @@ class Machine {
   bool reference_loop_ = false;
   bool fast_route_ = false;  // route_.fast() && !reference_loop_
 
-  static constexpr size_t ring_bits = 15;
-  static constexpr size_t ring_size = size_t{1} << ring_bits;  // 32768 cycles
   static constexpr size_t occ_words = ring_size / 64;
+  // One bucket per ring cycle, reused every ring_size cycles: a bucket's
+  // capacity settles at its busiest cycle's event count, so a launch stops
+  // allocating once every bucket has seen a busy cycle.
   std::vector<std::vector<arch::core_id>> buckets_;
   // Occupancy bitmap over the ring buckets: bit b set iff buckets_[b] holds
   // at least one event.  Lets run() jump over empty cycles in O(words).

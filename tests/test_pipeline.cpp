@@ -10,10 +10,17 @@
 //    cycles AND the exact EVM/BER/payloads of a hand-rolled legacy chain
 //    that drives the kernel classes directly;
 //  * one scenario executed through the same Pipeline call on the "sim" and
-//    "reference" backends decodes the same payloads.
+//    "reference" backends decodes the same payloads;
+//  * measure() streams its jobs: it never holds more than one simulated
+//    machine per shard, and its reports do not depend on the shard count
+//    or report reuse.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <memory>
+#include <span>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "kernels/che_ne.h"
@@ -23,6 +30,7 @@
 #include "kernels/mmm.h"
 #include "runtime/backend.h"
 #include "runtime/presets.h"
+#include "runtime/registry.h"
 
 namespace {
 
@@ -273,6 +281,138 @@ TEST(PipelineEquivalence, MeasureIsDeterministic) {
     EXPECT_EQ(a.stages[i].rep.cycles, b.stages[i].rep.cycles);
   }
   EXPECT_EQ(a.serial_cycles, b.serial_cycles);
+}
+
+// ---- measure() streams its jobs: one live machine per shard ---------------
+
+// Live instances of Counted_kernel, and the most seen at once.
+std::atomic<int> live_kernels{0};
+std::atomic<int> peak_live_kernels{0};
+
+// A registry kernel wrapping a real one, counting its live instances.
+// measure() builds a job's kernel right after its machine and drops it just
+// before the machine, so the count bounds the live machines - without
+// instrumenting production code.
+class Counted_kernel : public runtime::Kernel {
+ public:
+  explicit Counted_kernel(std::unique_ptr<runtime::Kernel> inner)
+      : Kernel(inner->desc()), inner_(std::move(inner)) {
+    const int now = ++live_kernels;
+    int peak = peak_live_kernels.load();
+    while (now > peak && !peak_live_kernels.compare_exchange_weak(peak, now)) {
+    }
+  }
+  ~Counted_kernel() override { --live_kernels; }
+
+  uint32_t slots(std::string_view port) const override {
+    return inner_->slots(port);
+  }
+  void bind(std::string_view port, uint32_t slot,
+            std::span<const cq15> data) override {
+    inner_->bind(port, slot, data);
+  }
+  void bind_default_inputs(common::Rng& rng) override {
+    inner_->bind_default_inputs(rng);
+  }
+  sim::Kernel_report launch() override { return inner_->launch(); }
+  std::vector<cq15> fetch(std::string_view port,
+                          uint32_t slot) const override {
+    return inner_->fetch(port, slot);
+  }
+
+ private:
+  std::unique_ptr<runtime::Kernel> inner_;
+};
+
+// The use-case roll-up on minipool (three stages, each with a serial row:
+// six jobs), every kernel wrapped as "counted.<name>".
+runtime::Pipeline counted_use_case(const std::string& cluster_name) {
+  static const bool registered = [] {
+    const std::pair<const char*, std::vector<std::string>> kernels[] = {
+        {"fft.parallel", {"n", "inst", "reps", "folded"}},
+        {"fft.serial", {"n", "reps", "core"}},
+        {"mmm", {"m", "k", "p", "wr", "wc", "mode", "cores", "core"}},
+        {"chol.batch", {"n", "per_core", "cores"}},
+        {"chol.serial", {"n", "reps", "core"}}};
+    for (const auto& [name, keys] : kernels) {
+      const std::string inner = name;
+      runtime::Registry::instance().add(
+          "counted." + inner, "live-instance counting wrapper", keys,
+          [inner](sim::Machine& m, arch::L1_alloc& alloc,
+                  const runtime::Params& p) {
+            return std::make_unique<Counted_kernel>(
+                runtime::make_kernel(inner, m, alloc, p));
+          });
+    }
+    return true;
+  }();
+  EXPECT_TRUE(registered);
+  runtime::Use_case_options uc;
+  uc.cluster = arch::Cluster_config::minipool();
+  uc.dims.fft_size = 256;
+  uc.dims.n_rx = 4;
+  uc.dims.n_beams = 4;
+  uc.dims.n_ue = 4;
+  // The cluster name is part of the report memo key and nothing else: a
+  // fresh name gives each measurement fresh memo entries.
+  uc.cluster.name = cluster_name;
+  const runtime::Pipeline plain = runtime::use_case_pipeline(uc);
+  runtime::Pipeline out("counted", uc.cluster);
+  for (runtime::Stage_spec st : plain.stages()) {
+    EXPECT_FALSE(st.serial.kernel.empty()) << st.name;
+    st.run.kernel = "counted." + st.run.kernel;
+    st.serial.kernel = "counted." + st.serial.kernel;
+    out.add(std::move(st));
+  }
+  return out;
+}
+
+void expect_same_rollup(const runtime::Rollup_result& a,
+                        const runtime::Rollup_result& b,
+                        const std::string& what) {
+  ASSERT_EQ(a.stages.size(), b.stages.size()) << what;
+  for (size_t i = 0; i < a.stages.size(); ++i) {
+    const auto& x = a.stages[i];
+    const auto& y = b.stages[i];
+    EXPECT_EQ(x.name, y.name) << what;
+    EXPECT_EQ(x.times, y.times) << what;
+    EXPECT_EQ(x.rep.cycles, y.rep.cycles) << what << " " << x.name;
+    EXPECT_EQ(x.rep.instrs, y.rep.instrs) << what << " " << x.name;
+    EXPECT_EQ(x.rep.n_cores, y.rep.n_cores) << what << " " << x.name;
+    EXPECT_EQ(x.rep.stall, y.rep.stall) << what << " " << x.name;
+  }
+  EXPECT_EQ(a.parallel_cycles, b.parallel_cycles) << what;
+  EXPECT_EQ(a.serial_cycles, b.serial_cycles) << what;
+}
+
+TEST(PipelineStreaming, MeasureHoldsAtMostOneMachinePerShard) {
+  runtime::Measure_options ref_opt;
+  ref_opt.reuse_reports = false;
+  peak_live_kernels = 0;
+  const auto want = counted_use_case("minipool.ref").measure(ref_opt);
+  EXPECT_EQ(peak_live_kernels.load(), 1);  // construct-bind-launch-release
+  EXPECT_EQ(live_kernels.load(), 0);
+
+  for (const bool reuse : {false, true}) {
+    for (const uint32_t shards : {1u, 2u, 8u}) {
+      const std::string what = "shards " + std::to_string(shards) +
+                               (reuse ? " reuse" : " no-reuse");
+      runtime::Measure_options opt;
+      opt.shards = shards;
+      opt.reuse_reports = reuse;
+      const auto p = counted_use_case("minipool." + what);
+      for (int pass = 0; pass < 2; ++pass) {  // reuse: fill, then hit
+        peak_live_kernels = 0;
+        expect_same_rollup(p.measure(opt), want, what);
+        EXPECT_LE(peak_live_kernels.load(), static_cast<int>(shards))
+            << what;
+        EXPECT_EQ(live_kernels.load(), 0) << what;
+        if (reuse && pass == 1) {
+          EXPECT_EQ(peak_live_kernels.load(), 0) << what << ": memo hits";
+        }
+      }
+    }
+  }
 }
 
 // ---- backend cross-check -------------------------------------------------

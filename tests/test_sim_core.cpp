@@ -1,5 +1,6 @@
 // Unit tests for the simulated core: issue accounting, RAW stalls,
-// divider/ext-unit stalls, LSU depth, and instruction-fetch behaviour.
+// divider/ext-unit stalls, LSU depth (and its validation), and
+// instruction-fetch behaviour.
 #include <gtest/gtest.h>
 
 #include "arch/address_map.h"
@@ -47,6 +48,28 @@ TEST(SimCore, IcacheHitsAfterFirstIteration) {
   const uint64_t icache = r.stall[size_t(Stall::icache)];
   // One cold line miss (4 instrs = 1 line), penalty = refill cycles.
   EXPECT_EQ(icache, test_cfg().icache_refill_cycles);
+}
+
+// An L0 larger than the tags the Core holds inline (16 lines) keeps them on
+// the heap with the same behaviour: a 25-line loop body thrashes the
+// presets' 16-line L0 but stays resident in a 32-line one, missing only on
+// the first iteration.
+TEST(SimCore, LargeL0KeepsALongerLoopBodyResident) {
+  auto loop = [](Core& c) -> Prog {
+    for (int i = 0; i < 10; ++i) c.alu(100);  // 25 lines per iteration
+    co_return;
+  };
+  auto icache_stall = [&](uint32_t l0_instrs) {
+    auto cfg = test_cfg();
+    cfg.l0_icache_instrs = l0_instrs;
+    Machine m(cfg);
+    std::vector<Machine::Launch> l;
+    l.push_back({0, loop(m.core(0))});
+    return m.run_programs("loop", std::move(l)).stall[size_t(Stall::icache)];
+  };
+  const uint64_t refill = test_cfg().icache_refill_cycles;
+  EXPECT_EQ(icache_stall(128), 25 * refill);
+  EXPECT_GT(icache_stall(64), 25 * refill);
 }
 
 // mul result used immediately -> RAW stall of (mul_latency - 1).
@@ -183,6 +206,46 @@ TEST(SimCore, LsuDepthBackPressure) {
   l2.push_back({0, hammer(m_free.core(0), false, cfg.lsu_depth)});
   auto r2 = m_free.run_programs("lsu-free", std::move(l2));
   EXPECT_EQ(r2.stall[size_t(sim::Stall::lsu)], 0u);
+}
+
+// Both ends of the accepted LSU depth simulate: at depth 1 every load after
+// the first waits for its predecessor (5-cycle remote round trips), at the
+// deepest queue the same loads never fill it.
+TEST(SimCore, LsuDepthBoundsAreAccepted) {
+  for (const uint32_t depth : {1u, Core::max_lsu_depth}) {
+    auto cfg = test_cfg();
+    cfg.lsu_depth = depth;
+    Machine m(cfg);
+    auto prog = [](Core& c) -> Prog {
+      const auto& map = c.machine->map();
+      const arch::bank_id far_bank = c.cfg->n_banks() - 1;
+      for (uint32_t i = 0; i < 8; ++i) {
+        co_await c.load(map.bank_word(far_bank, i));
+      }
+    };
+    std::vector<Machine::Launch> l;
+    l.push_back({0, prog(m.core(0))});
+    const auto r = m.run_programs("lsu-depth", std::move(l));
+    EXPECT_LT(r.cycles, 100u) << "depth " << depth;
+    if (depth == 1) {
+      EXPECT_GT(r.stall[size_t(Stall::lsu)], 0u);
+    } else {
+      EXPECT_EQ(r.stall[size_t(Stall::lsu)], 0u);
+    }
+  }
+}
+
+// An LSU depth outside [1, Core::max_lsu_depth] is rejected when the machine
+// is built: at 0 the first memory op would find no slot and stall the
+// core's clock to the end of time; past the per-core completion table the
+// queue would silently be simulated as max_lsu_depth deep.
+TEST(SimCoreDeathTest, RejectsLsuDepthOutsideTheCompletionTable) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  auto cfg = test_cfg();
+  cfg.lsu_depth = 0;
+  EXPECT_DEATH({ Machine m(cfg); }, "lsu_depth must be in \\[1, 16\\]");
+  cfg.lsu_depth = Core::max_lsu_depth + 1;
+  EXPECT_DEATH({ Machine m(cfg); }, "lsu_depth must be in \\[1, 16\\]");
 }
 
 // Store then load from another core (sequenced by cycle) sees the value.

@@ -53,10 +53,11 @@ TEST(SimEdgeDeathTest, MissingBarrierParticipantDeadlocks) {
 
 TEST(SimEdgeDeathTest, L1OverflowIsCaught) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const auto cfg = cfg16();  // outlives the allocator, which points at it
   EXPECT_DEATH(
       {
-        arch::L1_alloc alloc(cfg16());
-        alloc.alloc(cfg16().l1_words() + 1);
+        arch::L1_alloc alloc(cfg);
+        alloc.alloc(cfg.l1_words() + 1);
       },
       "SRAM");
 }

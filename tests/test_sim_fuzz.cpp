@@ -15,9 +15,13 @@
 // shared-bank tie chains of the sync-grant paths, the bank-ownership inline
 // runs of the folded-layout contract, and launches long enough to push the
 // closing-barrier events past the ring horizon into the far-event queue.
+// A fourth case pins the closing barrier's arrival cycle on either side of
+// the horizon.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "arch/address_map.h"
@@ -91,9 +95,9 @@ Plan make_shared_plan(const arch::Cluster_config& cfg, uint64_t seed,
 // the same op stream against their own banks, so every barrier arrival
 // lands on the same cycle and the service order is the same-cycle tie
 // chain the Cholesky kernels hit.  `target_cycles` sizes the straight-line
-// run; above the ring horizon (32768 cycles) the non-master barrier
-// arrivals park in the far-event queue, which is exactly the path worth
-// fuzzing.
+// run; above the ring horizon (Machine::ring_size cycles) the non-master
+// barrier arrivals park in the far-event queue, which is exactly the path
+// worth fuzzing.
 Plan make_local_plan(const arch::Cluster_config& cfg, uint64_t seed,
                      uint32_t target_cycles, uint32_t scratch_rows) {
   Plan plan;
@@ -168,6 +172,10 @@ Prog run_ops(Core& c, const std::vector<Op>* ops, const Barrier* bar,
 struct Fuzz_run {
   sim::Kernel_report rep;
   std::vector<uint32_t> mem;  // final L1 words of the active region
+  // Issue cycle of core 1's last memory op.  In a core-local plan that is
+  // its barrier arrival: a non-master's access to the counter bank, which
+  // the fast path parks in the event queue at this cycle.
+  uint64_t arrival = 0;
 };
 
 Fuzz_run run_plan(const arch::Cluster_config& cfg, const Plan& plan,
@@ -212,6 +220,7 @@ Fuzz_run run_plan(const arch::Cluster_config& cfg, const Plan& plan,
   for (uint64_t w = 0; w < words; ++w) {
     out.mem[w] = m.mem().peek(base + static_cast<arch::addr_t>(w));
   }
+  out.arrival = m.core(1).pending.issue_t;
   return out;
 }
 
@@ -228,6 +237,29 @@ void expect_identical(const Fuzz_run& fast, const Fuzz_run& ref,
 }
 
 arch::Cluster_config fuzz_cfg() { return arch::Cluster_config::minipool(); }
+
+// A core-local plan whose non-master barrier arrivals issue at exactly
+// `arrival` cycles into the launch: a short local plan, then a run of
+// single-cycle ALU ops from one call site (one cycle each once its L0 line
+// is resident) sized by a calibration run, then the closing barrier.
+Plan make_arrival_plan(const arch::Cluster_config& cfg, uint64_t seed,
+                       uint64_t arrival) {
+  const Plan local =
+      make_local_plan(cfg, seed, static_cast<uint32_t>(arrival / 4), 4);
+  auto padded = [&](uint64_t pad) {
+    Plan p = local;
+    for (auto& ops : p.ops) {
+      ops.pop_back();  // the closing barrier goes after the pad
+      ops.insert(ops.end(), pad, Op{Op::alu, 1, 0});
+      ops.push_back({Op::barrier, 0, 0});
+    }
+    return p;
+  };
+  constexpr uint64_t probe_pad = 64;
+  const uint64_t probe = run_plan(cfg, padded(probe_pad), false).arrival;
+  EXPECT_LE(probe, arrival) << "seed " << seed << ": local plan too long";
+  return padded(probe_pad + arrival - std::min(probe, arrival));
+}
 
 // ---- the property, over fresh seeds --------------------------------------
 
@@ -286,15 +318,77 @@ TEST(SimFuzz, RegressionSeedOwnershipInlineRuns) {
                    seed);
 }
 
-// Inline runs past the 32768-cycle ring horizon: the closing-barrier events
-// of the non-master cores land in the far-event queue and must flush back
-// in insertion order.
+// Inline runs far past the ring horizon: the closing-barrier events of the
+// non-master cores land in the far-event queue and must flush back in
+// insertion order.
 TEST(SimFuzz, RegressionSeedFarEventQueue) {
   const auto cfg = fuzz_cfg();
   const uint64_t seed = common::Rng::derive_seed(0xfa2, 2);
   const Plan plan = make_local_plan(cfg, seed, 45000, 4);
   expect_identical(run_plan(cfg, plan, false), run_plan(cfg, plan, true),
                    seed);
+}
+
+// Inline runs whose barrier arrivals issue just inside the ring horizon,
+// exactly at it, just past it and several horizons out: the boundary
+// between a ring bucket and the far-event queue, and far events that flush
+// back over more than one horizon.  The arrival cycle is pinned, so a plan
+// that drifts off its boundary fails here instead of silently testing
+// something else.
+TEST(SimFuzz, FarQueueAtTheRingHorizon) {
+  const auto cfg = fuzz_cfg();
+  const uint64_t h = Machine::ring_size;
+  for (const uint64_t arrival :
+       {h - 1, h, h + 1, 3 * h, 3 * h + 1, 7 * h + 5}) {
+    const uint64_t seed = common::Rng::derive_seed(0x4012, arrival);
+    const Plan plan = make_arrival_plan(cfg, seed, arrival);
+    const Fuzz_run fast = run_plan(cfg, plan, false);
+    const Fuzz_run ref = run_plan(cfg, plan, true);
+    EXPECT_EQ(fast.arrival, arrival) << "seed " << seed;
+    EXPECT_EQ(ref.arrival, arrival) << "seed " << seed;
+    expect_identical(fast, ref, seed);
+  }
+}
+
+// A wake-up parked past the ring horizon - here behind a long compute run;
+// a wake CSR write train to hundreds of cores does the same - must hold
+// back the synchronous grant of any later access, exactly as a ring event
+// does.  Core 1 wakes core 0, then stores to the word core 0 loads on
+// waking: the load comes first in cycle order, so it reads the old value.
+TEST(SimFuzz, FarWakeBoundsSynchronousGrants) {
+  const auto cfg = fuzz_cfg();
+  auto run = [&](bool reference) {
+    Machine m(cfg);
+    m.set_reference_loop(reference);
+    arch::L1_alloc alloc(m.config());
+    const arch::addr_t word = alloc.alloc(1);
+    const arch::addr_t first = alloc.alloc(1);
+    uint32_t seen = ~0u;
+    auto sleeper = [](Core& c, arch::addr_t a, uint32_t* out) -> Prog {
+      co_await c.wfi();
+      *out = (co_await c.load(a)).value;
+    };
+    auto waker = [](Core& c, arch::addr_t a, arch::addr_t b) -> Prog {
+      co_await c.load(b);  // granted inline: no other event is pending
+      c.alu(Machine::ring_size);
+      sim::Wake_set w;
+      w.kind = sim::Wake_set::Kind::cores;
+      w.cores = {0};
+      c.csr_wake(w);
+      c.alu(50);
+      co_await c.store(a, 42);
+    };
+    std::vector<Machine::Launch> l;
+    l.push_back({0, sleeper(m.core(0), word, &seen)});
+    l.push_back({1, waker(m.core(1), word, first)});
+    const sim::Kernel_report rep = m.run_programs("far-wake", std::move(l));
+    return std::pair{rep.cycles, seen};
+  };
+  const auto fast = run(false);
+  const auto ref = run(true);
+  EXPECT_EQ(ref.second, 0u) << "the load precedes the store";
+  EXPECT_EQ(fast.second, ref.second);
+  EXPECT_EQ(fast.first, ref.first);
 }
 
 }  // namespace
