@@ -139,6 +139,50 @@ TEST(FixedBackend, CooperativeFftPathBitIdenticalToSim) {
   }
 }
 
+TEST(FixedBackend, BatchedMimoAndFftGangsBitIdenticalToSim) {
+  // Cholesky symbol batching and forced FFT gang counts change how sim
+  // groups its launches, never a value: the fixed backend's symbol-group
+  // loop must reproduce every batch size, whole-slot and split, at one and
+  // at several intra-slot workers.
+  phy::Uplink_config cfg;
+  cfg.n_sc = 64;
+  cfg.fft_size = 64;
+  cfg.n_rx = 4;
+  cfg.n_beams = 4;
+  cfg.n_ue = 2;
+  cfg.n_symb = 8;
+  cfg.n_pilot_symb = 2;  // 6 data symbols: batches of 1, 2 and 3 divide
+  cfg.seed = 1234;
+  const phy::Uplink_scenario sc(cfg);
+  const auto cluster = arch::Cluster_config::minipool();
+
+  for (const uint32_t batch : {1u, 2u, 3u}) {
+    for (const uint32_t gangs : {0u, 1u}) {
+      runtime::Uplink_options opt;
+      opt.chol_symb_batch = batch;
+      opt.fft_instances = gangs;
+      const auto pipeline = runtime::uplink_pipeline(cluster, opt);
+      const auto sim = pipeline.execute(sc, *runtime::make_backend("sim"));
+      ASSERT_EQ(sim.stages.size(), 6u);
+      EXPECT_EQ(sim.stages[5].runs, 2u * 6u / batch) << "batch " << batch;
+      for (const uint32_t intra : {1u, 3u}) {
+        const std::string what = "batch " + std::to_string(batch) +
+                                 " gangs " + std::to_string(gangs) +
+                                 " intra " + std::to_string(intra);
+        runtime::Fixed_backend whole(intra);
+        expect_slot_bits_equal(sim, pipeline.execute(sc, whole),
+                               what + " whole");
+        runtime::Fixed_backend split(intra);
+        runtime::Slot_front front;
+        runtime::Slot_result res;
+        split.run_front_into(pipeline, sc, front);
+        split.run_back_into(pipeline, sc, front, res);
+        expect_slot_bits_equal(sim, res, what + " split");
+      }
+    }
+  }
+}
+
 TEST(FixedBackend, SplitContractMatchesWholeSlot) {
   // run_back_into(run_front_into()) == run_slot_into - the contract stage
   // pipelining rests on (scheduler.h).
