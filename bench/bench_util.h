@@ -23,6 +23,7 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "phy/channel.h"
+#include "phy/qam.h"
 #include "runtime/admission.h"
 #include "runtime/backend.h"
 #include "runtime/placement.h"
@@ -174,6 +175,17 @@ inline phy::Channel_profile channel_by_name(const std::string& name) {
 inline phy::Channel_profile channel_from_cli(const common::Cli& cli,
                                              const char* fallback = "flat") {
   return channel_by_name(cli.get("--channel", fallback));
+}
+
+// Constellation of a --qam order; anything but 4, 16, 64 or 256 prints the
+// accepted orders and exits 2 instead of running another modulation.
+inline phy::Qam qam_from_order(uint32_t order) {
+  if (order != 4 && order != 16 && order != 64 && order != 256) {
+    std::fprintf(stderr, "bad QAM order '%u' for --qam (4|16|64|256)\n",
+                 order);
+    std::exit(2);
+  }
+  return static_cast<phy::Qam>(order);
 }
 
 // `--list` support: everything reachable by name through the runtime

@@ -61,15 +61,6 @@ using namespace pp;
   std::exit(2);
 }
 
-phy::Qam qam_from_order(uint32_t order, const char* flag) {
-  if (order != 4 && order != 16 && order != 64 && order != 256) {
-    std::fprintf(stderr, "bad QAM order '%u' for %s (4|16|64|256)\n", order,
-                 flag);
-    std::exit(2);
-  }
-  return static_cast<phy::Qam>(order);
-}
-
 template <typename T>
 const T& cycle(const std::vector<T>& v, size_t i) {
   return v[i % v.size()];
@@ -110,7 +101,7 @@ int main(int argc, char** argv) {
     if (cell.mu > 6) bad_range("--mu", "numerology out of range (0..6)");
     cell.fft_size = cycle(fft, c);
     cell.n_ue = cycle(ue, c);
-    cell.qam = qam_from_order(cycle(qam, c), "--qam");
+    cell.qam = bench::qam_from_order(cycle(qam, c));
     cell.snr_db = cycle(snr, c);
     cell.load = cycle(load, c);
     if (!(cell.load > 0.0)) bad_range("--load", "load must be positive");

@@ -79,18 +79,6 @@ std::vector<double> parse_snr_list(const std::string& s) {
   return out;
 }
 
-std::vector<phy::Qam> parse_qam_list(const std::vector<uint32_t>& orders,
-                                     const std::string& raw) {
-  std::vector<phy::Qam> out;
-  for (const uint32_t order : orders) {
-    if (order != 4 && order != 16 && order != 64 && order != 256) {
-      bad_token("--qam", raw);
-    }
-    out.push_back(static_cast<phy::Qam>(order));
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -103,8 +91,10 @@ int main(int argc, char** argv) {
   runtime::Sweep_grid grid;
   grid.fft_sizes = cli.get_u32_list("--fft", "64,256");
   grid.ue_counts = cli.get_u32_list("--ue", "2");
-  grid.qam_orders =
-      parse_qam_list(cli.get_u32_list("--qam", "16"), cli.get("--qam", "16"));
+  grid.qam_orders.clear();
+  for (const uint32_t order : cli.get_u32_list("--qam", "16")) {
+    grid.qam_orders.push_back(bench::qam_from_order(order));
+  }
   grid.snr_db = parse_snr_list(cli.get("--snr", "10:30:5"));
   grid.slots_per_point = cli.get_u32("--slots", 1);
   grid.n_rx = cli.get_u32("--rx", 4);

@@ -23,7 +23,9 @@
 //
 // --list prints the registered clusters, backends, pipeline presets and
 // registry kernels instead of running; unknown --arch/--backend names
-// error with the same lists, and an unknown flag exits 2.
+// error with the same lists.  An unknown flag, a --qam other than
+// 4|16|64|256 and a --chol-batch that does not divide the 4 data symbols
+// exit 2.
 //
 // The scenario is a scaled-down slot (256-pt grid, 16 antennas, 8 beams) so
 // the example runs in seconds; bench_fig9c_usecase covers the full-size
@@ -59,18 +61,20 @@ int main(int argc, char** argv) {
   // Fading profile (flat | tdl-a | tdl-c) with optional Doppler evolution.
   cfg.profile = bench::channel_from_cli(cli);
   cfg.doppler_hz = cli.get_double("--doppler", 0.0);
-  switch (cli.get_int("--qam", 16)) {
-    case 4: cfg.qam = phy::Qam::qpsk; break;
-    case 64: cfg.qam = phy::Qam::qam64; break;
-    case 256: cfg.qam = phy::Qam::qam256; break;
-    default: cfg.qam = phy::Qam::qam16; break;
-  }
+  cfg.qam = bench::qam_from_order(cli.get_u32("--qam", 16));
   runtime::Uplink_options opt;
-  opt.chol_symb_batch =
-      static_cast<uint32_t>(cli.get_int("--chol-batch", 1));
+  opt.chol_symb_batch = cli.get_u32("--chol-batch", 1);
   const std::string which = cli.get("--backend", "both");
   const uint32_t intra = cli.get_u32("--intra", 1);
   cli.reject_unknown();
+  const uint32_t n_data = cfg.n_symb - cfg.n_pilot_symb;
+  if (opt.chol_symb_batch < 1 || n_data % opt.chol_symb_batch != 0) {
+    std::fprintf(stderr,
+                 "bad --chol-batch %u: the Cholesky batch must be at least 1 "
+                 "and divide the %u data symbols\n",
+                 opt.chol_symb_batch, n_data);
+    return 2;
+  }
 
   std::printf("scenario: %u sub-carriers, %u antennas -> %u beams, %u UEs, "
               "%u symbols (%u pilot), %u-QAM\n",

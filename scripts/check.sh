@@ -86,6 +86,12 @@ echo "--- smoke: streaming traffic engine (pusch_serve + --list) ---"
 "$BUILD_DIR"/examples/pusch_sweep --list > /dev/null
 "$BUILD_DIR"/examples/pusch_uplink_e2e --list > /dev/null
 
+echo "--- smoke: cross-backend e2e slot with batched Cholesky ---"
+# The slot on all four backends, two data symbols per Cholesky launch:
+# exits 0 only if the payloads match across backends and BER is 0.
+"$BUILD_DIR"/examples/pusch_uplink_e2e --backend all --chol-batch 2 \
+    --arch mempool > /dev/null
+
 echo "--- smoke: fading channel profiles + HARQ retransmission loop ---"
 # TDL fading with Doppler and the closed HARQ loop on the streaming
 # engine, plus the scenario-mix bench's own worker-invariance re-check.
@@ -131,6 +137,17 @@ for bench in bench_serve_latency bench_scenario_mix bench_capacity \
   for bad in "--bogus-flag 7" "--worker 4"; do
     expect_exit2 bench/$bench "$bad"
   done
+done
+# pusch_uplink_e2e rejects --slots as an unknown flag, so it is called
+# directly: an unsupported QAM order, and a Cholesky batch that does not
+# divide the slot's 4 data symbols.
+for bad in "--qam 32" "--chol-batch 3"; do
+  status=0
+  "$BUILD_DIR"/examples/pusch_uplink_e2e $bad > /dev/null 2>&1 || status=$?
+  if [[ "$status" -ne 2 ]]; then
+    echo "pusch_uplink_e2e exited $status (want 2) for: $bad"
+    exit 1
+  fi
 done
 
 echo "--- bench_all --quick: machine-readable reports + baseline diff ---"

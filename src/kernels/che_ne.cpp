@@ -147,11 +147,14 @@ void Ne::set_pilot(uint32_t l, std::span<const cq15> x) {
   poke_c(m_.mem(), x_ + l * n_sc_, x);
 }
 
-double Ne::sigma2() const {
-  const uint32_t raw = m_.mem().peek(acc_);
-  const double count = static_cast<double>(n_sc_) * n_b_;
+double ne_sigma2(uint32_t raw, uint32_t n_sc, uint32_t n_b) {
+  const double count = static_cast<double>(n_sc) * n_b;
   return static_cast<double>(raw) /
          (count * static_cast<double>(1 << q15_frac_bits));
+}
+
+double Ne::sigma2() const {
+  return ne_sigma2(m_.mem().peek(acc_), n_sc_, n_b_);
 }
 
 sim::Prog Ne::core_prog(sim::Core& c, uint32_t idx) {

@@ -52,6 +52,12 @@ class Che {
   sim::Barrier bar_;
 };
 
+// The NE estimate from the kernel's accumulator word: the per-core
+// contributions (residual power >> 15, folded mod 2^32) averaged over the
+// n_sc x n_b residuals, raw / (n_sc * n_b * 2^15).  Ne::sigma2() and the
+// host replay of the fold (runtime::Fixed_backend) both convert through it.
+double ne_sigma2(uint32_t raw, uint32_t n_sc, uint32_t n_b);
+
 class Ne {
  public:
   Ne(sim::Machine& m, arch::L1_alloc& alloc, uint32_t n_sc, uint32_t n_b,

@@ -18,6 +18,10 @@
 //                      to Sim_backend - same payload bits, EVM/BER and
 //                      sigma2_hat - at host speed (backend_fixed.h)
 //
+// Sim_backend and Fixed_backend are the two executors of one Q1.15 chain:
+// Q15_backend runs its marshaling (runtime/q15_chain.h) once for both, and
+// each supplies only how a stage's kernels run.
+//
 // All emit the same Slot_result, so a single scenario can be scored on the
 // simulator and on any host path through the same Pipeline::execute()
 // call.
@@ -30,6 +34,7 @@
 #include "common/complex16.h"
 #include "common/grid.h"
 #include "runtime/pipeline.h"
+#include "runtime/q15_chain.h"
 
 namespace pp::runtime {
 
@@ -68,9 +73,9 @@ class Backend {
   // split entry points.
   virtual bool can_split() const { return false; }
   virtual void run_front_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                              Slot_front& out);
+                              Slot_front& out) = 0;
   virtual void run_back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                             const Slot_front& front, Slot_result& out);
+                             const Slot_front& front, Slot_result& out) = 0;
 
   // High-water bytes held by this backend's slot workspaces (0 when the
   // backend keeps none).  Observability for the growth-then-stable tests;
@@ -78,20 +83,74 @@ class Backend {
   virtual size_t workspace_bytes() const { return 0; }
 };
 
-class Sim_backend final : public Backend {
+// The Q1.15 receive chain over a kernel executor.  The entry points run
+// the chain's shared steps once: quantize the scenario inputs, hand each
+// stage's output to the next at the chain's block scales, convert the NE
+// value to sigma2_hat, and dequantize, score and demodulate the equalized
+// symbols (EVM in (data symbol, sub-carrier, UE) order, BER through
+// phy::payload_ber).  A derived backend implements the executor below;
+// every executor call takes Q1.15 in and gives Q1.15 out at the scales of
+// its Q15_chain.
+class Q15_backend : public Backend {
+ public:
+  void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
+                     Slot_result& out) final;
+  // Abort unless can_split(): the simulator runs whole slots only.
+  void run_front_into(const Pipeline& p, const phy::Uplink_scenario& sc,
+                      Slot_front& out) final;
+  void run_back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
+                     const Slot_front& front, Slot_result& out) final;
+  // The chain's marshaling workspace; executors add their own.
+  size_t workspace_bytes() const override;
+
+ protected:
+  // OFDM FFT of every (symbol, antenna) at s_time, then beamforming
+  // against ws.bq into `beams` ([symbol][sc * beam] at s_grid).
+  virtual void fft_beamform(const Q15_chain& c,
+                            common::Ws_grid<common::cq15>& beams) = 0;
+  // Channel estimate from ws.pilots and ws.y_sep, handed on through
+  // c.hand_on_che.
+  virtual void che(const Q15_chain& c) = 0;
+  // Noise estimate from ws.y_est, ws.h_est and ws.pilots: the kernel's
+  // value, kernels::ne_sigma2 of its accumulator word.
+  virtual double ne(const Q15_chain& c) = 0;
+  // Gramian + Cholesky + solves of data symbols [s0, s0 + batch), the beam
+  // rows handed on through c.hand_on_rhs, into ws.xs.
+  virtual void mimo(const Q15_chain& c,
+                    const common::Ws_grid<common::cq15>& beams, uint32_t s0,
+                    double sigma2_hat) = 0;
+  // After the last stage of a slot: this backend's rows of out.stages.
+  virtual void close_slot(const Q15_chain& c, Slot_result& out) = 0;
+
+ private:
+  void front_half(const Q15_chain& c, common::Ws_grid<common::cq15>& beams);
+  void back_half(const Q15_chain& c,
+                 const common::Ws_grid<common::cq15>& beams, Slot_result& out);
+
+  Q15_ws ws_;
+};
+
+// The executor on the simulated cluster: one machine per slot, every stage
+// a kernel launch, per-stage cycles, instructions and stalls summed over
+// the launches.
+class Sim_backend final : public Q15_backend {
  public:
   Sim_backend();
   ~Sim_backend() override;
   std::string_view name() const override { return "sim"; }
   bool cycle_accurate() const override { return true; }
-  void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                     Slot_result& out) override;
-  size_t workspace_bytes() const override;
 
  private:
-  struct Ws;  // marshaling buffers (quantize scratch); sim cores re-run
-              // the slot out of simulated L1, which is per-Machine state
-  std::unique_ptr<Ws> ws_;
+  void fft_beamform(const Q15_chain& c,
+                    common::Ws_grid<common::cq15>& beams) override;
+  void che(const Q15_chain& c) override;
+  double ne(const Q15_chain& c) override;
+  void mimo(const Q15_chain& c, const common::Ws_grid<common::cq15>& beams,
+            uint32_t s0, double sigma2_hat) override;
+  void close_slot(const Q15_chain& c, Slot_result& out) override;
+
+  struct Slot;  // the slot's machine, kernels and stage rows
+  std::unique_ptr<Slot> slot_;
 };
 
 // Fills `out.stages` with the per-stage launch counts the sim backend would

@@ -1,11 +1,12 @@
 // Fixed-point host backend: the sim backend's Q1.15 arithmetic at host
 // speed.
 //
-// Fixed_backend replays the exact marshaling of Sim_backend - the same
-// input quantization, Q15-to-Q15 block rescales between kernels
-// (runtime::Q15_rescale) and host-side loop order - but executes each
-// kernel's functional Q15 math through the host subsystem in src/fixed/
-// instead of the cycle-approximate simulator.
+// Fixed_backend is the Q1.15 chain's host executor: Q15_backend
+// (runtime/q15_chain.h) runs the chain's marshaling - input quantization,
+// the Q15-to-Q15 block rescales between kernels and the EVM/BER epilogue -
+// exactly as for the sim backend, and this class runs each kernel's
+// functional Q15 math through the host subsystem in src/fixed/ instead of
+// the cycle-approximate simulator.
 // Because the simulated kernels separate functional values from timing
 // tokens, the result is **bit-identical** to the sim backend: same payload
 // bits, same EVM/BER doubles, same sigma2_hat - an exact cross-check where
@@ -13,11 +14,11 @@
 //
 // Parallel structure (common::Thread_pool, like Parallel_backend):
 //
-//   OFDM FFT     per-(symbol, antenna) transforms; with fewer transforms
-//                than workers each FFT is computed cooperatively, butterfly
-//                ranges tiled per stage with a Counting_barrier
+//   OFDM FFT     contiguous runs of per-(symbol, antenna) transforms; a
+//                worker beyond the transform count gets an empty run
 //   beamforming  blocks of (symbol, sub-carrier) output rows of the MMM
-//   CHE          per-sub-carrier estimate rows
+//   CHE          per-sub-carrier estimate rows, each tile handed on to NE's
+//                and the Gramian's scale by the worker that computed it
 //   NE           one Q2.30 partial per *simulated core block* (the sim's
 //                uint32 fold is partition-dependent, so the simulated
 //                partition is replayed no matter the worker count), folded
@@ -29,9 +30,10 @@
 //
 // Every parallel tile performs exact integer arithmetic on disjoint
 // outputs, so the result is independent of the worker count - pinned at
-// 1/2/8 workers by tests/test_backend_fixed.cpp.  SIMD (src/fixed/simd.h)
-// is on by default where the host supports it; `use_simd = false` forces
-// the scalar paths (bit-identical by contract, used by the parity tests).
+// 1, 2, 3, 7, 8 and 16 workers by tests/test_backend_fixed.cpp.  SIMD
+// (src/fixed/simd.h) is on by default where the host supports it;
+// `use_simd = false` forces the scalar paths (bit-identical by contract,
+// used by the parity tests).
 #ifndef PUSCHPOOL_RUNTIME_BACKEND_FIXED_H
 #define PUSCHPOOL_RUNTIME_BACKEND_FIXED_H
 
@@ -41,7 +43,7 @@
 
 namespace pp::runtime {
 
-class Fixed_backend final : public Backend {
+class Fixed_backend final : public Q15_backend {
  public:
   // workers: 0 = one per hardware thread (the pool persists across slots).
   explicit Fixed_backend(uint32_t workers = 0, bool use_simd = true)
@@ -54,30 +56,27 @@ class Fixed_backend final : public Backend {
   // host; false means every kernel runs its scalar loops.
   bool simd_active() const;
 
-  void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                     Slot_result& out) override;
   // Stage-split entry points (scheduler stage pipelining), cut at the beam
   // grid like the parallel backend: the split is bit-identical to the
   // whole slot.
   bool can_split() const override { return true; }
-  void run_front_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                      Slot_front& out) override;
-  void run_back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                     const Slot_front& front, Slot_result& out) override;
   size_t workspace_bytes() const override;
 
  private:
-  void front_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                  common::Ws_grid<common::cq15>& beams);
-  void back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                 const common::Ws_grid<common::cq15>& beams, Slot_result& out);
+  void fft_beamform(const Q15_chain& c,
+                    common::Ws_grid<common::cq15>& beams) override;
+  void che(const Q15_chain& c) override;
+  double ne(const Q15_chain& c) override;
+  void mimo(const Q15_chain& c, const common::Ws_grid<common::cq15>& beams,
+            uint32_t s0, double sigma2_hat) override;
+  void close_slot(const Q15_chain& c, Slot_result& out) override;
 
   common::Thread_pool pool_;
   bool simd_;
 
-  // Per-worker marshaling scratch (FFT staging buffers + a block of MMM
-  // input rows); workers touch only their own entry inside a dispatch, so
-  // no synchronization beyond the pool's join is needed.
+  // Per-worker kernel scratch (FFT staging buffers + a block of MMM input
+  // rows); workers touch only their own entry inside a dispatch, so no
+  // synchronization beyond the pool's join is needed.
   struct Worker_ws {
     std::vector<common::cq15> buf, fout, aq;
     size_t footprint_bytes() const {
@@ -86,22 +85,12 @@ class Fixed_backend final : public Backend {
     }
   };
 
-  // Slot workspaces (grow-then-stabilize; every reused element fully
-  // overwritten per slot before the kernels read it).  Between kernels the
-  // slot stays in Q1.15, each grid at its consumer's block scale.
-  std::vector<Worker_ws> fft_ws_;            // one per worker
-  std::vector<common::cq15> coop_buf_, coop_fout_;  // cooperative-FFT shared
-  std::vector<common::cq15> bq_;             // quantized codebook
-  common::Ws_grid<common::cq15> freq_;       // [symb * rx][sc] MMM inputs
-  common::Ws_grid<common::cq15> beams_;      // fused-path beam grid
-  // Back half: CHE inputs/outputs, NE operands, MIMO batch staging.
-  std::vector<std::vector<common::cq15>> pilots_q_, y_sep_q_;  // grow-only
-  std::vector<common::cq15> h_q_, h_est_, gh_q_;  // CHE output at 3 scales
-  std::vector<common::cq15> y_est_;
-  std::vector<uint32_t> contribs_;
-  common::Ws_grid<common::cq15> y_q_;        // [batch symbol][sc * beam]
-  std::vector<common::cq15> xs_;
-  std::vector<phy::cd> x_;  // epilogue per-sub-carrier dequantize
+  // Kernel outputs between a stage and its hand-off (grow-then-stabilize;
+  // every reused element fully overwritten per slot before it is read).
+  std::vector<Worker_ws> fft_ws_;        // one per worker
+  common::Ws_grid<common::cq15> freq_;   // [symb * rx][sc] MMM inputs
+  std::vector<common::cq15> h_q_;        // CHE output at CHE's scale
+  std::vector<uint32_t> contribs_;       // NE fold, one per core block
 };
 
 }  // namespace pp::runtime

@@ -291,14 +291,4 @@ std::vector<std::string> backend_names() {
   return {"sim", "reference", "parallel", "fixed"};
 }
 
-void Backend::run_front_into(const Pipeline&, const phy::Uplink_scenario&,
-                             Slot_front&) {
-  PP_CHECK(false, "backend does not support stage-split execution");
-}
-
-void Backend::run_back_into(const Pipeline&, const phy::Uplink_scenario&,
-                            const Slot_front&, Slot_result&) {
-  PP_CHECK(false, "backend does not support stage-split execution");
-}
-
 }  // namespace pp::runtime

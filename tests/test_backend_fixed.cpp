@@ -116,8 +116,8 @@ TEST(FixedBackend, BitIdenticalToSimAcrossScenarioGridAndWorkers) {
 }
 
 TEST(FixedBackend, CooperativeFftPathBitIdenticalToSim) {
-  // Fewer transforms than workers forces the cooperative FFT: butterfly
-  // blocks tiled across all workers with a barrier between stages.
+  // Fewer transforms than workers: the workers beyond the transform count
+  // get empty FFT slices, and those idle workers must change no bit.
   phy::Uplink_config cfg;
   cfg.n_sc = 64;
   cfg.fft_size = 64;
