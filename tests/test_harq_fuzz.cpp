@@ -201,6 +201,9 @@ TEST(HarqFuzz, SurfaceIsWorkerInvariantAcrossTheCasePool) {
     c.opt.workers = 4;
     EXPECT_TRUE(serial.deterministic_equal(Slot_scheduler(c.opt).run(src)))
         << "seed " << seed << ": " << describe(c);
+    c.opt.pipelined = true;
+    EXPECT_TRUE(serial.deterministic_equal(Slot_scheduler(c.opt).run(src)))
+        << "seed " << seed << " (pipelined): " << describe(c);
   }
 }
 

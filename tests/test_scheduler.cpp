@@ -594,4 +594,28 @@ TEST(Scheduler, ShardedStrAddsShardTableAndServingSummary) {
   EXPECT_NE(table.find("overload drop"), std::string::npos);
 }
 
+// Two jobs in one group, except that job 1 names group 1 - a group the
+// source does not have.
+class Out_of_range_group_source final : public runtime::Slot_source {
+ public:
+  std::string_view name() const override { return "out-of-range-group"; }
+  uint64_t n_slots() const override { return 2; }
+  uint32_t n_groups() const override { return 1; }
+  std::string group_label(uint32_t) const override { return "g0"; }
+  runtime::Slot_job job(uint64_t index) const override {
+    runtime::Slot_job j;
+    j.index = index;
+    j.group = static_cast<uint32_t>(index);
+    return j;
+  }
+};
+
+TEST(SchedulerDeathTest, RejectsAJobOutsideTheSourcesGroups) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Scheduler_options opt;
+  opt.workers = 1;
+  EXPECT_DEATH(Slot_scheduler(opt).run(Out_of_range_group_source()),
+               "group out of range");
+}
+
 }  // namespace
