@@ -34,9 +34,16 @@ std::vector<Admission_verdict> admit_jobs(
     const std::vector<uint32_t>& shard_of_group, uint32_t n_shards,
     uint32_t service_units, const arch::Cluster_config& cluster,
     double clock_ghz, const Admission_options& opt) {
+  PP_CHECK(n_shards >= 1, "admission needs at least one shard");
   Admission_state state(n_shards, std::max(1u, service_units));
-  return admit_jobs(jobs, shard_of_group, n_shards, service_units, cluster,
-                    clock_ghz, opt, state);
+  std::vector<Admission_verdict> verdicts(jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const Slot_job& job = jobs[i];
+    PP_CHECK(job.group < shard_of_group.size(), "slot job group out of range");
+    verdicts[i] = admit_one(job, shard_of_group[job.group], cluster,
+                            clock_ghz, opt, state);
+  }
+  return verdicts;
 }
 
 Admission_verdict admit_one(const Slot_job& job, uint32_t shard,
@@ -51,13 +58,7 @@ Admission_verdict admit_one(const Slot_job& job, uint32_t shard,
   v.cfg = job.cfg;
   Admission_state::Shard_clock& clock = state.shards[shard];
 
-  // Earliest-free virtual cluster, ties to the lowest id - the same
-  // deterministic pick as fcfs_completion().
-  size_t server = 0;
-  for (size_t j = 1; j < clock.free_at.size(); ++j) {
-    if (clock.free_at[j] < clock.free_at[server]) server = j;
-  }
-  const double start = std::max(job.arrival_s, clock.free_at[server]);
+  const double start = clock.fcfs.start(job.arrival_s);
   double service = analytic_service_seconds(v.cfg, cluster, clock_ghz);
   v.predicted_delay_s = start + service - job.arrival_s;
 
@@ -70,6 +71,10 @@ Admission_verdict admit_one(const Slot_job& job, uint32_t shard,
       }
       break;
     case Overload_policy::queue:
+      // Predicted starts are non-decreasing in arrival order (a shard's
+      // earliest-free time never decreases), so the deque front is the
+      // oldest pending start and its size after popping the past ones is
+      // the backlog at this arrival.
       while (!clock.starts.empty() && clock.starts.front() <= job.arrival_s) {
         clock.starts.pop_front();
       }
@@ -91,7 +96,7 @@ Admission_verdict admit_one(const Slot_job& job, uint32_t shard,
   }
 
   if (v.outcome != Admission_verdict::Outcome::dropped) {
-    clock.free_at[server] = start + service;
+    clock.fcfs.serve(job.arrival_s, service);
     clock.starts.push_back(start);
   }
   return v;
@@ -109,39 +114,10 @@ void replay_one(const Slot_job& job, const Admission_verdict& v,
   while (!clock.starts.empty() && clock.starts.front() <= job.arrival_s) {
     clock.starts.pop_front();
   }
-  size_t server = 0;
-  for (size_t j = 1; j < clock.free_at.size(); ++j) {
-    if (clock.free_at[j] < clock.free_at[server]) server = j;
-  }
-  const double start = std::max(job.arrival_s, clock.free_at[server]);
-  clock.free_at[server] =
-      start + analytic_service_seconds(v.cfg, cluster, clock_ghz);
+  const double start = clock.fcfs.start(job.arrival_s);
+  clock.fcfs.serve(job.arrival_s,
+                   analytic_service_seconds(v.cfg, cluster, clock_ghz));
   clock.starts.push_back(start);
-}
-
-// `starts` holds the predicted start times of admitted jobs, popped once
-// they are past - start times are non-decreasing within a pass
-// (earliest-free-server time never decreases and arrivals are
-// non-decreasing), so the deque front is always the oldest pending start
-// and its size after popping is the backlog at the current arrival.
-std::vector<Admission_verdict> admit_jobs(
-    const std::vector<Slot_job>& jobs,
-    const std::vector<uint32_t>& shard_of_group, uint32_t n_shards,
-    uint32_t service_units, const arch::Cluster_config& cluster,
-    double clock_ghz, const Admission_options& opt, Admission_state& state) {
-  PP_CHECK(n_shards >= 1, "admission needs at least one shard");
-  PP_CHECK(state.shards.size() == n_shards,
-           "admission state shard count mismatch");
-  (void)service_units;
-
-  std::vector<Admission_verdict> verdicts(jobs.size());
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    const Slot_job& job = jobs[i];
-    PP_CHECK(job.group < shard_of_group.size(), "slot job group out of range");
-    verdicts[i] = admit_one(job, shard_of_group[job.group], cluster,
-                            clock_ghz, opt, state);
-  }
-  return verdicts;
 }
 
 }  // namespace pp::runtime

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/latency.h"
 #include "runtime/scheduler.h"
 
 namespace pp::runtime {
@@ -64,27 +65,25 @@ struct Admission_verdict {
 };
 
 // The controller's predicted FCFS state, explicit so a caller can build the
-// verdict stream job by job: the HARQ loop (scheduler.h, max_harq > 0)
-// re-runs the predictor chronologically each round - already-decided jobs
-// are replayed (replay_one: occupancy only, the verdict is final) and the
-// round's retransmissions decided (admit_one) interleaved at their true
-// arrivals - so retransmission pressure and the exogenous stream contend
-// for the same predicted capacity in arrival order.  Per shard, `starts`
-// holds the predicted start times of admitted jobs (the "queue" policy's
-// backlog estimate) and `free_at` the earliest-free time of every virtual
-// cluster.
+// verdict stream job by job: Slot_scheduler::run re-runs the predictor
+// chronologically each round - round 0 is the exogenous stream, later
+// rounds the HARQ retransmissions (scheduler.h, max_harq > 0) - replaying
+// already-decided jobs (replay_one: occupancy only, the verdict is final)
+// and deciding the round's jobs (admit_one) interleaved at their true
+// arrivals, so retransmission pressure and the exogenous stream contend
+// for the same predicted capacity in arrival order.  Per shard, `fcfs` is
+// the virtual clusters' FCFS clock (latency.h) and `starts` holds the
+// predicted start times of admitted jobs (the "queue" policy's backlog
+// estimate).
 struct Admission_state {
   struct Shard_clock {
-    std::vector<double> free_at;
+    Fcfs_clock fcfs;
     std::deque<double> starts;
   };
   std::vector<Shard_clock> shards;
 
-  Admission_state() = default;
-  Admission_state(uint32_t n_shards, uint32_t service_units) {
-    shards.resize(n_shards);
-    for (auto& s : shards) s.free_at.assign(service_units, 0.0);
-  }
+  Admission_state(uint32_t n_shards, uint32_t service_units)
+      : shards(n_shards, Shard_clock{Fcfs_clock(service_units), {}}) {}
 };
 
 // The serial admission pre-pass: walk `jobs` in index (= arrival) order,
@@ -97,15 +96,6 @@ std::vector<Admission_verdict> admit_jobs(
     uint32_t service_units, const arch::Cluster_config& cluster,
     double clock_ghz, const Admission_options& opt);
 
-// Continuation form: the same pass, but reading and advancing an explicit
-// controller state (shards/free_at sized by the caller).  The one-shot
-// overload above is exactly this with a fresh state.
-std::vector<Admission_verdict> admit_jobs(
-    const std::vector<Slot_job>& jobs,
-    const std::vector<uint32_t>& shard_of_group, uint32_t n_shards,
-    uint32_t service_units, const arch::Cluster_config& cluster,
-    double clock_ghz, const Admission_options& opt, Admission_state& state);
-
 // Decide a single job against `state` under `opt` - the body of the
 // admit_jobs loop.  Jobs must be offered in non-decreasing arrival order
 // for the predicted-backlog bookkeeping to be meaningful.
@@ -115,10 +105,9 @@ Admission_verdict admit_one(const Slot_job& job, uint32_t shard,
                             Admission_state& state);
 
 // Replay an already-decided job into `state`: advance the occupancy clocks
-// exactly as admitting it did, without re-deciding anything.  The HARQ
-// loop's chronological re-pass uses this for every job whose verdict is
-// already final.  Dropped jobs never touched the clocks, so they replay as
-// a no-op.
+// exactly as admitting it did, without re-deciding anything.  Each round's
+// chronological re-pass uses this for every job whose verdict is already
+// final.  Dropped jobs never touched the clocks, so they replay as a no-op.
 void replay_one(const Slot_job& job, const Admission_verdict& v,
                 const arch::Cluster_config& cluster, double clock_ghz,
                 Admission_state& state);

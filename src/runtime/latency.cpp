@@ -51,25 +51,27 @@ double Latency_histogram::percentile(double q) const {
   return bucket_upper_edge(kBuckets - 1);
 }
 
-std::vector<double> fcfs_completion(const std::vector<double>& arrival_s,
-                                    const std::vector<double>& service_s,
-                                    uint32_t servers) {
-  PP_CHECK(arrival_s.size() == service_s.size(),
-           "fcfs queue needs one service time per arrival");
+Fcfs_clock::Fcfs_clock(uint32_t servers) : free_at_(servers, 0.0) {
   PP_CHECK(servers >= 1, "fcfs queue needs at least one server");
-  std::vector<double> free_at(servers, 0.0);
-  std::vector<double> completion(arrival_s.size());
-  for (size_t i = 0; i < arrival_s.size(); ++i) {
-    // Earliest-free server, ties to the lowest id - a deterministic pick.
-    size_t s = 0;
-    for (size_t j = 1; j < free_at.size(); ++j) {
-      if (free_at[j] < free_at[s]) s = j;
-    }
-    const double start = std::max(arrival_s[i], free_at[s]);
-    free_at[s] = start + service_s[i];
-    completion[i] = free_at[s];
+}
+
+size_t Fcfs_clock::earliest_free() const {
+  // Ties to the lowest id - a deterministic pick.
+  size_t s = 0;
+  for (size_t j = 1; j < free_at_.size(); ++j) {
+    if (free_at_[j] < free_at_[s]) s = j;
   }
-  return completion;
+  return s;
+}
+
+double Fcfs_clock::start(double arrival_s) const {
+  return std::max(arrival_s, free_at_[earliest_free()]);
+}
+
+double Fcfs_clock::serve(double arrival_s, double service_s) {
+  double& free_at = free_at_[earliest_free()];
+  free_at = std::max(arrival_s, free_at) + service_s;
+  return free_at;
 }
 
 }  // namespace pp::runtime

@@ -10,10 +10,11 @@
 // virtual-time latency metrics gate the benchmark baseline
 // (docs/DETERMINISM.md).
 //
-// fcfs_completion() is the deterministic multi-server queue model behind
-// the scheduler's deadline accounting: jobs in arrival order, each starting
-// on the earliest-free server (ties to the lowest server id).  Completion
-// times are a pure function of (arrivals, service times, server count) -
+// Fcfs_clock is the deterministic multi-server queue model behind both the
+// admission controller's predictor (admission.h) and the scheduler's
+// deadline accounting: jobs offered in arrival order, each starting on the
+// earliest-free server (ties to the lowest server id).  Completion times
+// are a pure function of (arrivals, service times, server count) -
 // independent of how many host workers actually executed the slots.
 #ifndef PUSCHPOOL_RUNTIME_LATENCY_H
 #define PUSCHPOOL_RUNTIME_LATENCY_H
@@ -70,14 +71,26 @@ class Latency_histogram {
   double max_ = 0.0;
 };
 
-// Completion times of jobs through an S-server FCFS queue.  `arrival_s`
-// must be non-decreasing (the Slot_source contract); job i starts at
-// max(arrival_s[i], earliest server-free time) on the earliest-free server
-// and completes start + service_s[i] later.  Deterministic and serial - the
-// virtual clock has nothing to do with host execution order.
-std::vector<double> fcfs_completion(const std::vector<double>& arrival_s,
-                                    const std::vector<double>& service_s,
-                                    uint32_t servers);
+// An S-server FCFS queue on a virtual clock.  Jobs must be offered in
+// non-decreasing arrival order; each starts at max(arrival, earliest
+// server-free time) on the earliest-free server and completes its service
+// time later.  Deterministic and serial - the virtual clock has nothing to
+// do with host execution order.
+class Fcfs_clock {
+ public:
+  explicit Fcfs_clock(uint32_t servers);
+
+  // When a job arriving at `arrival_s` would start; occupies nothing.
+  double start(double arrival_s) const;
+  // Occupies the earliest-free server with a job arriving at `arrival_s`
+  // for `service_s`, and returns its completion time.
+  double serve(double arrival_s, double service_s);
+
+ private:
+  size_t earliest_free() const;
+
+  std::vector<double> free_at_;
+};
 
 }  // namespace pp::runtime
 

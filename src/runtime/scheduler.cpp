@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <thread>
 
@@ -111,6 +112,20 @@ class Front_pool {
   std::vector<Slot_front> items_;
 };
 
+// Positions of `jobs` in (arrival, stream index) order: the order every
+// FCFS clock is fed in, by admission and by the deadline accounting alike.
+std::vector<uint64_t> chronological(const std::vector<Slot_job>& jobs) {
+  std::vector<uint64_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), uint64_t{0});
+  std::sort(order.begin(), order.end(), [&](uint64_t a, uint64_t b) {
+    if (jobs[a].arrival_s != jobs[b].arrival_s) {
+      return jobs[a].arrival_s < jobs[b].arrival_s;
+    }
+    return a < b;
+  });
+  return order;
+}
+
 }  // namespace
 
 double analytic_service_seconds(const phy::Uplink_config& cfg,
@@ -152,12 +167,15 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
     pipelined = pipelined && probe->can_split();
   }
 
-  // ---- serial pre-pass: resolve, place, admit --------------------------
+  // ---- serial pre-pass: resolve and place ------------------------------
   // job(i) is pure and cheap (the expensive scenario construction stays in
   // the workers), so resolving the whole stream serially keeps the
   // placement and admission decisions trivially host-independent.
   std::vector<Slot_job> jobs(n_initial);
-  for (uint64_t i = 0; i < n_initial; ++i) jobs[i] = src.job(i);
+  for (uint64_t i = 0; i < n_initial; ++i) {
+    jobs[i] = src.job(i);
+    PP_CHECK(jobs[i].group < src.n_groups(), "slot job group out of range");
+  }
   // HARQ bookkeeping: which original slot each job serves and its attempt
   // number.  The exogenous stream is its own parent at attempt 0;
   // retransmission jobs appended by the HARQ loop extend these in step
@@ -181,9 +199,6 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
   aopt.policy = overload_from_name(opt_.overload);
   aopt.queue_limit = opt_.queue_limit;
   aopt.min_ue = opt_.degrade_min_ue;
-  std::vector<Admission_verdict> verdicts =
-      admit_jobs(jobs, shard_of_group, n_shards, service_units, opt_.cluster,
-                 opt_.clock_ghz, aopt);
 
   // Full per-slot results are retained only when someone consumes them:
   // the caller (keep_slots) or the HARQ combiner (max_harq > 0).  Otherwise
@@ -197,19 +212,18 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
     double sigma2_hat = 0.0;
     uint64_t cycles = 0;
   };
-  std::vector<Slot_result> slots(retain ? jobs.size() : 0);
-  std::vector<Slot_stats> stats(jobs.size());
-  std::vector<double> wall_service(jobs.size(), 0.0);
-  std::vector<double> wall_synth(jobs.size(), 0.0);
+  std::vector<Admission_verdict> verdicts;
+  std::vector<Slot_result> slots;
+  std::vector<Slot_stats> stats;
+  std::vector<double> wall_service, wall_synth;
   double wall_seconds = 0.0;
   uint32_t workers_used = 0;
 
-  // Per-worker state persists across HARQ rounds: the backends (and the
-  // slot workspaces they grew on round 0), the summary-mode result scratch
-  // (one per whole-slot or back thread, one per front thread), and the
-  // pipelined mode's recycled Slot_front storage.
-  std::vector<std::unique_ptr<Backend>> whole_backends;
-  std::vector<std::unique_ptr<Backend>> front_backends, back_backends;
+  // Per-worker state persists across rounds: the backends (and the slot
+  // workspaces they grew on round 0), the summary-mode result scratch (one
+  // per worker, one per front thread), and the pipelined mode's front
+  // backends and recycled Slot_front storage.
+  std::vector<std::unique_ptr<Backend>> backends, front_backends;
   std::vector<Slot_result> scratch, front_scratch;
   std::vector<std::unique_ptr<Front_pool>> front_pools;
   std::atomic<uint64_t> handoffs{0};
@@ -251,16 +265,14 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
 
     // Grow the persistent per-worker state (never shrink: a later HARQ
     // round with fewer jobs still reuses the backends round 0 built).
+    if (backends.size() < workers) backends.resize(workers);
     if (scratch.size() < workers) scratch.resize(workers);
     if (pipelined) {
       if (front_backends.size() < workers) front_backends.resize(workers);
-      if (back_backends.size() < workers) back_backends.resize(workers);
       if (front_scratch.size() < workers) front_scratch.resize(workers);
       while (front_pools.size() < workers) {
         front_pools.push_back(std::make_unique<Front_pool>());
       }
-    } else if (whole_backends.size() < workers) {
-      whole_backends.resize(workers);
     }
     auto record = [&](uint64_t i, const Slot_result& r) {
       stats[i] = {r.evm, r.ber, r.sigma2_hat, r.total_cycles()};
@@ -291,25 +303,17 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
       pool.put(std::move(item.front));
     };
 
-    // Plain mode: each worker runs whole slots, exactly the old sweep
-    // engine.
-    auto work_whole = [&](uint32_t w) {
-      Backend& backend = backend_of(whole_backends[w]);
-      for (;;) {
-        const uint64_t p = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (p >= exec.size()) break;
-        serve_whole(exec[p], backend, scratch[w]);
-      }
-    };
-
-    // Pipelined mode: the worker becomes two threads with private backends,
-    // and neither waits while the other has work.  The front thread
-    // synthesizes each scenario it pulls and runs its FFT + beamforming,
-    // then hands the slot to the back thread if the mailbox is empty, or
-    // else runs the back half itself.  The back thread equalizes handed
-    // slots; when none is waiting it pulls the next job from the shared
-    // cursor and serves it whole.  Every result still lands at its job
-    // index, so which thread finished a slot changes nothing but the clock.
+    // Each worker is a back thread over a one-deep mailbox, and no thread
+    // waits while another has work.  Pipelined, the worker also gets a
+    // front thread with a private backend: it synthesizes each scenario it
+    // pulls and runs its FFT + beamforming, then hands the slot to the back
+    // thread if the mailbox is empty, or else runs the back half itself.
+    // The back thread equalizes handed slots; when none is waiting it pulls
+    // the next job from the shared cursor and serves it whole.  Unpipelined,
+    // the mailbox is closed before the worker starts, so it serves whole
+    // slots until the stream is drained.  Every result still lands at its
+    // job index, so which thread finished a slot changes nothing but the
+    // clock.
     auto work_front = [&](uint32_t w, Front_mailbox& box) {
       Backend& backend = backend_of(front_backends[w]);
       for (;;) {
@@ -334,7 +338,7 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
       box.close();
     };
     auto work_back = [&](uint32_t w, Front_mailbox& box) {
-      Backend& backend = backend_of(back_backends[w]);
+      Backend& backend = backend_of(backends[w]);
       for (;;) {
         std::optional<Front_item> item = box.try_pop();
         if (!item) {
@@ -352,131 +356,115 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
 
     const auto t0 = Clock::now();
     if (!exec.empty() && !opt_.virtual_only) {
-      if (pipelined) {
-        std::vector<Front_mailbox> boxes(workers);
-        std::vector<std::thread> pool;
-        pool.reserve(2 * workers - 1);
-        for (uint32_t w = 0; w < workers; ++w) {
+      std::vector<Front_mailbox> boxes(workers);
+      std::vector<std::thread> pool;
+      pool.reserve(pipelined ? 2 * workers - 1 : workers - 1);
+      for (uint32_t w = 0; w < workers; ++w) {
+        if (pipelined) {
           pool.emplace_back([&, w] { work_front(w, boxes[w]); });
-          // The calling thread serves as worker 0's back half.
-          if (w > 0) pool.emplace_back([&, w] { work_back(w, boxes[w]); });
+        } else {
+          boxes[w].close();
         }
-        work_back(0, boxes[0]);
-        for (auto& t : pool) t.join();
-      } else if (workers <= 1) {
-        work_whole(0);
-      } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (uint32_t w = 0; w < workers; ++w) {
-          pool.emplace_back([&, w] { work_whole(w); });
-        }
-        for (auto& t : pool) t.join();
+        // The calling thread serves as worker 0.
+        if (w > 0) pool.emplace_back([&, w] { work_back(w, boxes[w]); });
       }
+      work_back(0, boxes[0]);
+      for (auto& t : pool) t.join();
     }
     wall_seconds += seconds_since(t0);
   };
 
-  execute_batch(0);
-
-  // ---- HARQ retransmission loop ----------------------------------------
-  // After each round a serial pass in stream order folds every executed
-  // attempt into its block's chase combiner, records the verdict, and
-  // queues a retransmission for each block still above the BER threshold
-  // with attempts left.  A block whose attempt was dropped by admission
-  // gets no decode this round - NACK-on-silence: it is retransmitted all
-  // the same.  Everything here runs on the serial thread over data already
-  // merged in index order, so the schedule and verdict stream are pure
-  // functions of the per-slot results.
-  std::vector<Harq_combiner> blocks;
-  std::vector<uint32_t> spawned;
+  // ---- the serving loop: admit, execute, judge -------------------------
+  // One pass per round.  Round 0 is the exogenous stream; each later round
+  // holds the HARQ retransmissions the previous round spawned, and the
+  // loop ends with the first round that spawns none (round 0 itself when
+  // max_harq = 0).  Every admission and HARQ decision runs on this thread,
+  // in an order that is a pure function of the per-slot results.
+  std::vector<Harq_combiner> blocks(opt_.max_harq > 0 ? n_initial : 0);
+  std::vector<uint32_t> spawned(blocks.size(), 0);
   std::vector<Schedule_result::Harq_entry> harq_log;
-  if (opt_.max_harq > 0) {
-    blocks.resize(n_initial);
-    spawned.assign(n_initial, 0);
-    uint64_t round_begin = 0;
-    for (;;) {
-      const uint64_t round_end = jobs.size();
-      struct Pending {
-        Slot_job job;
-        uint64_t parent = 0;
-        uint32_t attempt = 0;
-      };
-      std::vector<Pending> next;
-      next.reserve(round_end - round_begin);
-      harq_log.reserve(harq_log.size() + (round_end - round_begin));
-      for (uint64_t i = round_begin; i < round_end; ++i) {
-        const uint64_t p = parent[i];
-        Harq_combiner& blk = blocks[p];
-        if (verdicts[i].outcome != Admission_verdict::Outcome::dropped) {
-          blk.absorb(verdicts[i].cfg, slots[i]);
-        }
-        const bool passed = blk.decoded() && blk.best_ber() <= opt_.harq_ber;
-        harq_log.push_back(
-            {p, attempt[i], blk.decoded() ? blk.best_ber() : 1.0, passed});
-        if (!passed && spawned[p] < opt_.max_harq) {
-          ++spawned[p];
-          Pending r;
-          r.job = jobs[p];
-          // Same transport block under a fresh fade (phy::kHarqStream),
-          // arriving one deadline budget per attempt after the original
-          // (batch jobs have no budget and re-arrive immediately).
-          r.job.cfg.harq_attempt = spawned[p];
-          r.job.arrival_s = jobs[p].arrival_s + spawned[p] * jobs[p].budget_s;
-          r.parent = p;
-          r.attempt = spawned[p];
-          next.push_back(std::move(r));
-        }
+  std::vector<uint64_t> order;  // every job so far, chronologically
+  for (uint64_t first = 0;;) {
+    // Admit the round by running the predictor chronologically over the
+    // whole stream so far: earlier rounds' verdicts are replayed (occupancy
+    // only - decisions are final) and this round's jobs decided interleaved
+    // at their true arrivals, so a retransmission contends with exactly the
+    // load present around its arrival.  On round 0 the chronological order
+    // is the index order, since a Slot_source's arrivals are non-decreasing.
+    order = chronological(jobs);
+    verdicts.resize(jobs.size());
+    Admission_state astate(n_shards, service_units);
+    for (const uint64_t i : order) {
+      if (i < first) {
+        replay_one(jobs[i], verdicts[i], opt_.cluster, opt_.clock_ghz, astate);
+      } else {
+        verdicts[i] = admit_one(jobs[i], shard_of_group[jobs[i].group],
+                                opt_.cluster, opt_.clock_ghz, aopt, astate);
       }
-      if (next.empty()) break;
-      // Retransmissions enter the stream in (arrival, parent) order, so a
-      // round is itself a valid job stream (non-decreasing arrivals) and
-      // its order is a pure function of the verdicts above.
-      std::sort(next.begin(), next.end(),
-                [](const Pending& a, const Pending& b) {
-                  if (a.job.arrival_s != b.job.arrival_s) {
-                    return a.job.arrival_s < b.job.arrival_s;
-                  }
-                  return a.parent < b.parent;
-                });
-      const uint64_t first = jobs.size();
-      for (size_t k = 0; k < next.size(); ++k) {
-        next[k].job.index = first + k;
-        jobs.push_back(next[k].job);
-        parent.push_back(next[k].parent);
-        attempt.push_back(next[k].attempt);
+    }
+
+    if (retain) slots.resize(jobs.size());
+    stats.resize(jobs.size());
+    wall_service.resize(jobs.size(), 0.0);
+    wall_synth.resize(jobs.size(), 0.0);
+    execute_batch(first);
+
+    if (opt_.max_harq == 0) break;
+    // Judge the round in stream order: fold every executed attempt into its
+    // block's chase combiner, record the verdict, and queue a
+    // retransmission for each block still above the BER threshold with
+    // attempts left.  A block whose attempt was dropped by admission gets
+    // no decode this round - NACK-on-silence: it is retransmitted all the
+    // same.
+    const uint64_t round_end = jobs.size();
+    struct Pending {
+      Slot_job job;
+      uint64_t parent = 0;
+      uint32_t attempt = 0;
+    };
+    std::vector<Pending> next;
+    next.reserve(round_end - first);
+    harq_log.reserve(round_end);
+    for (uint64_t i = first; i < round_end; ++i) {
+      const uint64_t p = parent[i];
+      Harq_combiner& blk = blocks[p];
+      if (verdicts[i].outcome != Admission_verdict::Outcome::dropped) {
+        blk.absorb(verdicts[i].cfg, slots[i]);
       }
-      // Admit the round by re-running the predictor chronologically over
-      // the whole stream so far: earlier rounds' verdicts are replayed
-      // (occupancy only - decisions are final) and this round's
-      // retransmissions decided interleaved at their true arrivals, so a
-      // retransmission contends with exactly the load present around its
-      // arrival instead of a clock the earlier pass left at end-of-stream.
-      verdicts.resize(jobs.size());
-      std::vector<uint64_t> order(jobs.size());
-      for (uint64_t i = 0; i < jobs.size(); ++i) order[i] = i;
-      std::sort(order.begin(), order.end(), [&](uint64_t a, uint64_t b) {
-        if (jobs[a].arrival_s != jobs[b].arrival_s) {
-          return jobs[a].arrival_s < jobs[b].arrival_s;
-        }
-        return a < b;
-      });
-      Admission_state astate(n_shards, service_units);
-      for (const uint64_t i : order) {
-        if (i < first) {
-          replay_one(jobs[i], verdicts[i], opt_.cluster, opt_.clock_ghz,
-                     astate);
-        } else {
-          verdicts[i] = admit_one(jobs[i], shard_of_group[jobs[i].group],
-                                  opt_.cluster, opt_.clock_ghz, aopt, astate);
-        }
+      const bool passed = blk.decoded() && blk.best_ber() <= opt_.harq_ber;
+      harq_log.push_back(
+          {p, attempt[i], blk.decoded() ? blk.best_ber() : 1.0, passed});
+      if (!passed && spawned[p] < opt_.max_harq) {
+        ++spawned[p];
+        Pending r;
+        r.job = jobs[p];
+        // Same transport block under a fresh fade (phy::kHarqStream),
+        // arriving one deadline budget per attempt after the original
+        // (batch jobs have no budget and re-arrive immediately).
+        r.job.cfg.harq_attempt = spawned[p];
+        r.job.arrival_s = jobs[p].arrival_s + spawned[p] * jobs[p].budget_s;
+        r.parent = p;
+        r.attempt = spawned[p];
+        next.push_back(std::move(r));
       }
-      slots.resize(jobs.size());
-      stats.resize(jobs.size());
-      wall_service.resize(jobs.size(), 0.0);
-      wall_synth.resize(jobs.size(), 0.0);
-      execute_batch(first);
-      round_begin = first;
+    }
+    if (next.empty()) break;
+    // Retransmissions enter the stream in (arrival, parent) order, so a
+    // round is itself a valid job stream (non-decreasing arrivals) and
+    // its order is a pure function of the verdicts above.
+    std::sort(next.begin(), next.end(),
+              [](const Pending& a, const Pending& b) {
+                if (a.job.arrival_s != b.job.arrival_s) {
+                  return a.job.arrival_s < b.job.arrival_s;
+                }
+                return a.parent < b.parent;
+              });
+    first = round_end;
+    for (size_t k = 0; k < next.size(); ++k) {
+      next[k].job.index = first + k;
+      jobs.push_back(next[k].job);
+      parent.push_back(next[k].parent);
+      attempt.push_back(next[k].attempt);
     }
   }
   const uint64_t n_jobs = jobs.size();
@@ -485,50 +473,22 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
   // Service times: simulated cycles at the virtual clock when the backend
   // reports them, the analytic MAC model otherwise; both are pure functions
   // of the executed slot configuration.  Each shard drains its admitted
-  // jobs through its own FCFS queue over `service_units` virtual clusters,
-  // independent of host scheduling and of the other shards.  With HARQ on,
-  // a shard's jobs arrive over several rounds, so each queue re-sorts by
-  // (arrival, stream index) - the identity permutation when max_harq = 0,
-  // where arrivals are already non-decreasing in the index.
-  std::vector<std::vector<uint64_t>> shard_jobs(n_shards);
-  {
-    std::vector<uint64_t> per_shard(n_shards, 0);
-    for (uint64_t i = 0; i < n_jobs; ++i) {
-      if (verdicts[i].outcome != Admission_verdict::Outcome::dropped) {
-        ++per_shard[verdicts[i].shard];
-      }
-    }
-    for (uint32_t s = 0; s < n_shards; ++s) {
-      shard_jobs[s].reserve(per_shard[s]);
-    }
-  }
-  for (uint64_t i = 0; i < n_jobs; ++i) {
-    if (verdicts[i].outcome != Admission_verdict::Outcome::dropped) {
-      shard_jobs[verdicts[i].shard].push_back(i);
-    }
-  }
+  // jobs through its own FCFS clock over `service_units` virtual clusters,
+  // independent of host scheduling and of the other shards.  The last
+  // round's chronological order covers every job, and a shard's
+  // subsequence of it is that shard's own (arrival, index) order.  On host
+  // backends the clocks see exactly what the last admission pass replayed
+  // into them, so the accounting agrees with the predictor by construction.
+  std::vector<Fcfs_clock> shard_clocks(n_shards, Fcfs_clock(service_units));
   std::vector<double> completion_s(n_jobs, 0.0);
-  for (uint32_t s = 0; s < n_shards; ++s) {
-    std::vector<uint64_t>& idx = shard_jobs[s];
-    std::sort(idx.begin(), idx.end(), [&](uint64_t a, uint64_t b) {
-      if (jobs[a].arrival_s != jobs[b].arrival_s) {
-        return jobs[a].arrival_s < jobs[b].arrival_s;
-      }
-      return a < b;
-    });
-    std::vector<double> arrival(idx.size()), service(idx.size());
-    for (size_t k = 0; k < idx.size(); ++k) {
-      const uint64_t i = idx[k];
-      arrival[k] = jobs[i].arrival_s;
-      service[k] = cycle_accurate
-                       ? static_cast<double>(stats[i].cycles) /
-                             (opt_.clock_ghz * 1e9)
-                       : analytic_service_seconds(verdicts[i].cfg,
-                                                  opt_.cluster, opt_.clock_ghz);
-    }
-    const std::vector<double> comp =
-        fcfs_completion(arrival, service, service_units);
-    for (size_t k = 0; k < comp.size(); ++k) completion_s[idx[k]] = comp[k];
+  for (const uint64_t i : order) {
+    const Admission_verdict& v = verdicts[i];
+    if (v.outcome == Admission_verdict::Outcome::dropped) continue;
+    const double service =
+        cycle_accurate
+            ? static_cast<double>(stats[i].cycles) / (opt_.clock_ghz * 1e9)
+            : analytic_service_seconds(v.cfg, opt_.cluster, opt_.clock_ghz);
+    completion_s[i] = shard_clocks[v.shard].serve(jobs[i].arrival_s, service);
   }
 
   // ---- aggregation, strictly in slot-index order -----------------------
@@ -558,7 +518,6 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
   for (uint64_t i = 0; i < n_jobs; ++i) {
     const Slot_job& job = jobs[i];
     const Admission_verdict& v = verdicts[i];
-    PP_CHECK(job.group < out.groups.size(), "slot job group out of range");
     auto& grp = out.groups[job.group];
     ++grp.slots;
     // A retransmission job, admitted or not, is offered load the HARQ loop

@@ -142,12 +142,11 @@ struct Scheduler_options {
   // per-attempt and chase-combined decodes) exceeds `harq_ber` re-enters
   // the stream as a retransmission - the same transport block under a fresh
   // fade (phy::Uplink_config::harq_attempt), arriving one deadline budget
-  // after its predecessor and admitted by re-running the predictor
-  // chronologically over the whole stream (admission.h: replay_one +
-  // admit_one), so it contends with the load actually present around its
-  // arrival.  At most `max_harq` retransmissions per
-  // original slot; 0 disables the loop and reproduces the pre-HARQ engine
-  // bit for bit.  A slot whose every attempt was dropped by admission
+  // after its predecessor and admitted by the same chronological pass as
+  // the exogenous stream (admission.h), so it contends with the load
+  // actually present around its arrival.  At most `max_harq`
+  // retransmissions per original slot; 0 disables the loop and reproduces
+  // the pre-HARQ engine bit for bit.  A slot whose every attempt was dropped by admission
   // counts as failed and is retransmitted too (NACK-on-silence).
   uint32_t max_harq = 0;
   double harq_ber = 0.0;  // decode passes when best BER <= this threshold
@@ -215,10 +214,7 @@ struct Schedule_result : Serving_counters {
     double combined_ber = 1.0;
     bool passed = false;
 
-    bool operator==(const Harq_entry& o) const {
-      return parent == o.parent && attempt == o.attempt &&
-             combined_ber == o.combined_ber && passed == o.passed;
-    }
+    bool operator==(const Harq_entry&) const = default;
   };
   std::vector<Harq_entry> harq;
 

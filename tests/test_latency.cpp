@@ -13,7 +13,7 @@
 
 namespace {
 
-using pp::runtime::fcfs_completion;
+using pp::runtime::Fcfs_clock;
 using pp::runtime::Latency_histogram;
 
 TEST(Latency, BucketOfOctaveBoundaries) {
@@ -150,27 +150,28 @@ TEST(Latency, MergeBoundaryCases) {
 
 TEST(Latency, FcfsSingleServerQueuesInOrder) {
   // Three jobs, all at t=0, 2 s service each: completions 2, 4, 6.
-  const auto c = fcfs_completion({0.0, 0.0, 0.0}, {2.0, 2.0, 2.0}, 1);
-  ASSERT_EQ(c.size(), 3u);
-  EXPECT_EQ(c[0], 2.0);
-  EXPECT_EQ(c[1], 4.0);
-  EXPECT_EQ(c[2], 6.0);
+  Fcfs_clock q(1);
+  EXPECT_EQ(q.serve(0.0, 2.0), 2.0);
+  EXPECT_EQ(q.serve(0.0, 2.0), 4.0);
+  EXPECT_EQ(q.serve(0.0, 2.0), 6.0);
 }
 
 TEST(Latency, FcfsMultiServerDrainsConcurrently) {
   // Two servers: jobs 0 and 1 start immediately; job 2 (arriving at 1)
   // waits for the earlier of the two frees (t=2) and completes at 5.
-  const auto c = fcfs_completion({0.0, 0.0, 1.0}, {2.0, 3.0, 3.0}, 2);
-  EXPECT_EQ(c[0], 2.0);
-  EXPECT_EQ(c[1], 3.0);
-  EXPECT_EQ(c[2], 5.0);
+  Fcfs_clock q(2);
+  EXPECT_EQ(q.serve(0.0, 2.0), 2.0);
+  EXPECT_EQ(q.serve(0.0, 3.0), 3.0);
+  EXPECT_EQ(q.start(1.0), 2.0);
+  EXPECT_EQ(q.serve(1.0, 3.0), 5.0);
 }
 
 TEST(Latency, FcfsIdleServerStartsAtArrival) {
   // A late arrival into an idle queue starts at its own arrival time.
-  const auto c = fcfs_completion({0.0, 10.0}, {1.0, 1.0}, 1);
-  EXPECT_EQ(c[0], 1.0);
-  EXPECT_EQ(c[1], 11.0);
+  Fcfs_clock q(1);
+  EXPECT_EQ(q.serve(0.0, 1.0), 1.0);
+  EXPECT_EQ(q.start(10.0), 10.0);
+  EXPECT_EQ(q.serve(10.0, 1.0), 11.0);
 }
 
 }  // namespace
