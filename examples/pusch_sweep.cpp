@@ -110,9 +110,6 @@ int main(int argc, char** argv) {
   opt.backend = bench::backend_from_cli(cli);
   opt.workers = cli.get_u32("--workers", 0);
   opt.intra = cli.get_u32("--intra", 1);
-  // --sim-shards N: run N concurrent simulated machines (sim backend only;
-  // bit-identical for every N, see docs/DETERMINISM.md §5).
-  opt.sim_shards = cli.get_u32("--sim-shards", 0);
   opt.cluster = bench::cluster_from_cli(cli, "minipool");
   opt.keep_slots = false;  // the CLI only reports the roll-up
   cli.reject_unknown();

@@ -63,7 +63,6 @@ echo "--- smoke: examples/quickstart ---"
 echo "--- smoke: 2-worker scenario sweep (small grid, all four backends) ---"
 "$BUILD_DIR"/examples/pusch_sweep --workers 2 --fft 16,64 --snr 10,20,30
 "$BUILD_DIR"/examples/pusch_sweep --workers 2 --backend sim --fft 64 --snr 20
-"$BUILD_DIR"/examples/pusch_sweep --backend sim --sim-shards 2 --fft 64 --snr 20
 "$BUILD_DIR"/examples/pusch_sweep --workers 1 --backend parallel --intra 2 \
     --fft 16,64 --snr 10,20,30
 "$BUILD_DIR"/examples/pusch_sweep --workers 1 --backend fixed --intra 2 \
@@ -78,9 +77,9 @@ echo "--- smoke: streaming traffic engine (pusch_serve + --list) ---"
 # deterministic deadline accounting, and the registry catalog listing.
 "$BUILD_DIR"/examples/pusch_serve --slots 16 --workers 2 --pipelined
 "$BUILD_DIR"/examples/pusch_serve --backend sim --slots 6 --clock-ghz 0.02
-# Sharded simulator: two concurrent machines must reproduce the unsharded
-# serve bit for bit (the CLI prints the same deterministic surface).
-"$BUILD_DIR"/examples/pusch_serve --backend sim --sim-shards 2 --slots 6 \
+# Two concurrent simulated machines: every --workers count prints the same
+# deterministic surface (docs/DETERMINISM.md section 5).
+"$BUILD_DIR"/examples/pusch_serve --backend sim --workers 2 --slots 6 \
     --clock-ghz 0.02
 "$BUILD_DIR"/examples/pusch_serve --list > /dev/null
 "$BUILD_DIR"/examples/pusch_sweep --list > /dev/null
@@ -128,7 +127,8 @@ expect_exit2() {
 }
 for cli in pusch_serve pusch_sweep; do
   for bad in "--placement random" "--overload shed" "--shards 0" \
-             "--channel rician" "--bogus-flag 7" "--worker 4"; do
+             "--channel rician" "--bogus-flag 7" "--worker 4" \
+             "--sim-shards 2"; do
     expect_exit2 examples/$cli "$bad"
   done
 done

@@ -249,11 +249,6 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
     }
 
     uint32_t workers = opt_.workers;
-    // --sim-shards: a fixed count of concurrent simulated machines.  Only
-    // the thread count changes - the index-ordered merges below make every
-    // shard count bit-identical, so this stays out of the determinism
-    // surface.
-    if (opt_.sim_shards > 0 && opt_.backend == "sim") workers = opt_.sim_shards;
     if (workers == 0) {
       workers = std::max(1u, std::thread::hardware_concurrency());
     }

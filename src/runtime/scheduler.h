@@ -98,15 +98,6 @@ struct Scheduler_options {
   Uplink_options uplink;   // preset knobs (FFT gangs, Cholesky batching)
   bool keep_slots = true;  // retain per-slot results (the bit-exact surface)
 
-  // Host threads driving simulated machines when the backend is "sim"
-  // (`--sim-shards` on the CLIs): overrides `workers` so N independent
-  // single-threaded sim::Machine instances run concurrently, one slot each.
-  // Purely a wall-clock knob - slot results merge in index order, so every
-  // shard count is bit-identical (DETERMINISM.md §5; the differential suite
-  // pins 1/2/8).  0 = defer to `workers`.  Ignored on host backends, which
-  // have their own worker/intra levels.
-  uint32_t sim_shards = 0;
-
   // Virtual-time service model: simulated cycles (cycle-accurate backends)
   // or the analytic MAC model (host backends), scaled to seconds at this
   // clock.  The paper evaluates the clusters at 1 GHz.

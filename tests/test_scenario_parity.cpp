@@ -179,7 +179,7 @@ TEST(ScenarioParity, Q15FamilyAgreesOnTheHarqSurface) {
 
   Scheduler_options sim = opt;
   sim.backend = "sim";
-  sim.sim_shards = 2;
+  sim.workers = 2;
   const auto simulated = Slot_scheduler(sim).run(src);
   // The host Q15 backend and the cycle-accurate simulator decode the same
   // bits, so with the shared analytic service clock the whole scenario
@@ -192,11 +192,11 @@ TEST(ScenarioParity, SimShardLadderIsInvariantOnTheHarqSurface) {
   const Traffic_source src(harq_mix(8));
   Scheduler_options opt = harq_options();
   opt.backend = "sim";
-  opt.sim_shards = 1;
+  opt.workers = 1;
   const auto one = Slot_scheduler(opt).run(src);
   for (const uint32_t shards : {2u, 8u}) {
     Scheduler_options other = opt;
-    other.sim_shards = shards;
+    other.workers = shards;
     EXPECT_TRUE(one.deterministic_equal(Slot_scheduler(other).run(src)))
         << shards << " sim shards";
   }

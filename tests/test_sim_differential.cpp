@@ -218,7 +218,7 @@ runtime::Schedule_result sweep_with_shards(uint32_t sim_shards) {
   runtime::Scheduler_options opt;
   opt.backend = "sim";
   opt.cluster = arch::Cluster_config::minipool();
-  opt.sim_shards = sim_shards;
+  opt.workers = sim_shards;
   opt.keep_slots = true;
   return runtime::Slot_scheduler(opt).run(runtime::Grid_source(grid));
 }
