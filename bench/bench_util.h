@@ -88,17 +88,25 @@ inline std::vector<std::string> cluster_names() {
   return {"mempool", "minipool", "terapool"};
 }
 
+// The one rejection of an unknown name on the command line: prints
+// "unknown <what> '<name>' for <flag>; registered: <names>" and exits 2.
+[[noreturn]] inline void reject_unknown_name(
+    const char* what, const std::string& name, const char* flag,
+    const std::vector<std::string>& registered) {
+  std::fprintf(stderr, "unknown %s '%s' for %s; registered:", what,
+               name.c_str(), flag);
+  for (const auto& n : registered) std::fprintf(stderr, " %s", n.c_str());
+  std::fprintf(stderr, "\n");
+  std::exit(2);
+}
+
 // Strict lookup: an unknown name prints the registered clusters and exits 2
 // (point the user at --list) instead of silently falling back to mempool.
 inline arch::Cluster_config cluster_by_name(const std::string& name) {
   if (name == "mempool") return arch::Cluster_config::mempool();
   if (name == "terapool") return arch::Cluster_config::terapool();
   if (name == "minipool") return arch::Cluster_config::minipool();
-  std::fprintf(stderr, "unknown cluster '%s' for --arch; registered:",
-               name.c_str());
-  for (const auto& n : cluster_names()) std::fprintf(stderr, " %s", n.c_str());
-  std::fprintf(stderr, "\n");
-  std::exit(2);
+  reject_unknown_name("cluster", name, "--arch", cluster_names());
 }
 
 inline arch::Cluster_config cluster_from_cli(const common::Cli& cli,
@@ -115,13 +123,7 @@ inline std::string backend_from_cli(const common::Cli& cli,
   for (const auto& b : runtime::backend_names()) {
     if (name == b) return name;
   }
-  std::fprintf(stderr, "unknown backend '%s' for --backend; registered:",
-               name.c_str());
-  for (const auto& b : runtime::backend_names()) {
-    std::fprintf(stderr, " %s", b.c_str());
-  }
-  std::fprintf(stderr, "\n");
-  std::exit(2);
+  reject_unknown_name("backend", name, "--backend", runtime::backend_names());
 }
 
 // Cell-to-shard placement policy validated against
@@ -131,13 +133,8 @@ inline std::string placement_from_cli(const common::Cli& cli,
                                       const char* fallback = "round-robin") {
   const std::string name = cli.get("--placement", fallback);
   if (runtime::is_placement_name(name)) return name;
-  std::fprintf(stderr, "unknown placement '%s' for --placement; registered:",
-               name.c_str());
-  for (const auto& p : runtime::placement_names()) {
-    std::fprintf(stderr, " %s", p.c_str());
-  }
-  std::fprintf(stderr, "\n");
-  std::exit(2);
+  reject_unknown_name("placement", name, "--placement",
+                      runtime::placement_names());
 }
 
 // Overload/admission policy validated against runtime::overload_names();
@@ -147,13 +144,7 @@ inline std::string overload_from_cli(const common::Cli& cli,
                                      const char* fallback = "off") {
   const std::string name = cli.get("--overload", fallback);
   if (runtime::is_overload_name(name)) return name;
-  std::fprintf(stderr, "unknown policy '%s' for --overload; registered:",
-               name.c_str());
-  for (const auto& p : runtime::overload_names()) {
-    std::fprintf(stderr, " %s", p.c_str());
-  }
-  std::fprintf(stderr, "\n");
-  std::exit(2);
+  reject_unknown_name("policy", name, "--overload", runtime::overload_names());
 }
 
 // Channel profile validated against phy::channel_profile_names(); unknown
@@ -163,13 +154,8 @@ inline phy::Channel_profile channel_by_name(const std::string& name) {
   if (phy::is_channel_profile_name(name)) {
     return phy::channel_profile_from_name(name);
   }
-  std::fprintf(stderr, "unknown channel profile '%s' for --channel; "
-               "registered:", name.c_str());
-  for (const auto& p : phy::channel_profile_names()) {
-    std::fprintf(stderr, " %s", p.c_str());
-  }
-  std::fprintf(stderr, "\n");
-  std::exit(2);
+  reject_unknown_name("channel profile", name, "--channel",
+                      phy::channel_profile_names());
 }
 
 inline phy::Channel_profile channel_from_cli(const common::Cli& cli,
