@@ -1,11 +1,11 @@
 // Admission / overload control in front of the sharded serving engine.
 //
 // Each scheduler shard (scheduler.h) owns an FCFS virtual-clock queue; the
-// admission controller decides, per arriving slot job and before anything
+// admission controller decides, per arriving slot job and before the job
 // executes, whether the shard takes the job as planned, re-plans it, or
 // sheds it.  The decision runs on the analytic predictor - the Table I MAC
-// model (analytic_service_seconds) through the same earliest-free-server
-// FCFS recurrence the deadline accounting uses - so the whole verdict
+// model (analytic_service_seconds) through the FCFS clock the deadline
+// accounting uses (latency.h: Fcfs_clock) - so the whole verdict
 // stream is a pure function of (jobs, placement, policy, cluster, clock):
 // identical on every backend, for any host worker count, with or without
 // stage pipelining (docs/DETERMINISM.md §8).  On cycle-accurate backends

@@ -27,23 +27,24 @@
 //                     groups (cells) are placed onto shards by a pluggable
 //                     policy (placement.h: round-robin, load-aware), and an
 //                     admission/overload controller (admission.h: off /
-//                     drop / queue / degrade) decides every job before
-//                     anything executes.  One shard with the policy off is
-//                     exactly the pre-sharding engine, bit for bit.
+//                     drop / queue / degrade) decides every job of a round
+//                     before the round executes.  One shard with the policy
+//                     off is exactly the pre-sharding engine, bit for bit.
 //   deadline account  per-slot latency through a deterministic virtual-time
 //                     model: seeded arrivals from the source, service times
 //                     from simulated cycles (cycle-accurate backends) or
 //                     the paper's MAC-complexity model (host backends), and
-//                     a per-shard FCFS queue over `service_units` virtual
-//                     clusters (latency.h).  Misses are counted against
-//                     each job's numerology slot budget and latencies
-//                     aggregated into per-shard histograms merged
-//                     (exact bucket-wise sums) into the global one.
+//                     a per-shard FCFS clock over `service_units` virtual
+//                     clusters (latency.h: Fcfs_clock, the clock admission
+//                     predicts on).  Misses are counted against each job's
+//                     numerology slot budget and latencies aggregated into
+//                     per-shard histograms merged (exact bucket-wise sums)
+//                     into the global one.
 //
 // Determinism contract (docs/DETERMINISM.md): every per-slot result is a
-// pure function of (source, slot index), placement and admission run in a
-// serial pre-pass on the analytic predictor, aggregation walks slots in
-// index order, and the virtual clocks are independent of host scheduling -
+// pure function of (source, slot index), placement and each round's
+// admission run serially on the analytic predictor, aggregation walks slots
+// in index order, and the virtual clocks are independent of host scheduling -
 // so the slot results, group/shard roll-ups, admission counters, latency
 // histograms and deadline-miss counts are bit-identical for any
 // (workers, intra) combination, with stage pipelining on or off, on every
