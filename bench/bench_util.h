@@ -88,8 +88,8 @@ inline std::vector<std::string> cluster_names() {
   return {"mempool", "minipool", "terapool"};
 }
 
-// The one rejection of an unknown name on the command line: prints
-// "unknown <what> '<name>' for <flag>; registered: <names>" and exits 2.
+// Shared by the name validators below: prints "unknown <what> '<name>' for
+// <flag>; registered: <names>" and exits 2.
 [[noreturn]] inline void reject_unknown_name(
     const char* what, const std::string& name, const char* flag,
     const std::vector<std::string>& registered) {

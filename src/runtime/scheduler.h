@@ -138,8 +138,9 @@ struct Scheduler_options {
   // the exogenous stream (admission.h), so it contends with the load
   // actually present around its arrival.  At most `max_harq`
   // retransmissions per original slot; 0 disables the loop and reproduces
-  // the pre-HARQ engine bit for bit.  A slot whose every attempt was dropped by admission
-  // counts as failed and is retransmitted too (NACK-on-silence).
+  // the pre-HARQ engine bit for bit.  A slot whose every attempt was
+  // dropped by admission counts as failed and is retransmitted too
+  // (NACK-on-silence).
   uint32_t max_harq = 0;
   double harq_ber = 0.0;  // decode passes when best BER <= this threshold
 
