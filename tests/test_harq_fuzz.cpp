@@ -204,6 +204,13 @@ TEST(HarqFuzz, SurfaceIsWorkerInvariantAcrossTheCasePool) {
     c.opt.pipelined = true;
     EXPECT_TRUE(serial.deterministic_equal(Slot_scheduler(c.opt).run(src)))
         << "seed " << seed << " (pipelined): " << describe(c);
+    // Retaining the slots must not change what the loop decides: the
+    // summary-mode serial run above is the reference for this one too.
+    c.opt.keep_slots = true;
+    const auto kept = Slot_scheduler(c.opt).run(src);
+    EXPECT_TRUE(serial.deterministic_equal(kept))
+        << "seed " << seed << " (pipelined, keep_slots): " << describe(c);
+    EXPECT_EQ(kept.slots.size(), kept.total_slots) << "seed " << seed;
   }
 }
 
