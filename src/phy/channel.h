@@ -105,14 +105,6 @@ class Channel {
   // with f_d(l) = doppler_hz * (1 + l / 2).
   static double doppler_rho(const Channel_config& cfg, uint32_t l);
 
-  // Coefficients the flat profile draws from the caller's RNG - one
-  // cnormal() each.  phy::tx_payload_bits replays this count to reproduce a
-  // scenario's payload stream without building the channel.
-  static size_t flat_coeff_count(const Channel_config& cfg) {
-    const size_t blocks = (cfg.n_sc + cfg.coherence - 1) / cfg.coherence;
-    return blocks * cfg.n_rx * cfg.n_ue;
-  }
-
   // Per-UE TDL stream offset: UE l draws from
   // derive_seed(cfg.seed, kUeStream + l).
   static constexpr uint64_t kUeStream = uint64_t{1} << 52;

@@ -47,30 +47,6 @@ Channel_config scenario_channel_config(const Uplink_config& cfg) {
 
 }  // namespace
 
-std::vector<std::vector<uint8_t>> tx_payload_bits(const Uplink_config& cfg) {
-  PP_CHECK(cfg.n_symb > cfg.n_pilot_symb,
-           "slot needs at least one data symbol after the pilots");
-  common::Rng rng(cfg.seed);
-  if (cfg.profile == Channel_profile::flat) {
-    // The scenario constructs the flat channel from rng_ before drawing any
-    // payload, one cnormal() per coefficient; replay the same count so the
-    // bit draws land on the same stream positions.
-    const size_t burn = Channel::flat_coeff_count(scenario_channel_config(cfg));
-    for (size_t i = 0; i < burn; ++i) rng.cnormal();
-  }
-  const uint32_t bps = qam_bits(cfg.qam);
-  const uint32_t n_data = cfg.n_symb - cfg.n_pilot_symb;
-  std::vector<std::vector<uint8_t>> bits(cfg.n_ue);
-  for (uint32_t l = 0; l < cfg.n_ue; ++l) {
-    bits[l].resize(static_cast<size_t>(n_data) * cfg.n_sc * bps);
-    for (auto& b : bits[l]) b = rng.uniform() < 0.5 ? 0 : 1;
-    // Burn the pilot draws (two uniforms per sub-carrier) so the next UE's
-    // bits stay aligned with the scenario's interleaved draw order.
-    for (uint32_t i = 0; i < 2 * cfg.n_sc; ++i) rng.uniform();
-  }
-  return bits;
-}
-
 Uplink_scenario::Uplink_scenario(const Uplink_config& cfg)
     : cfg_(cfg), rng_(cfg.seed),
       chan_(scenario_channel_config(cfg), rng_),

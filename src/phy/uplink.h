@@ -54,12 +54,6 @@ struct Uplink_config {
 // distinct from Channel::kUeStream (2^52), so the streams can never collide.
 inline constexpr uint64_t kHarqStream = uint64_t{1} << 56;
 
-// The payload bits one slot config transmits, per UE - a pure replay of the
-// scenario's bit/pilot draw order without building the channel or grids.
-// Identical for every harq_attempt of the same slot (the retransmission
-// contract) and cheap enough for the scheduler's serial combining pass.
-std::vector<std::vector<uint8_t>> tx_payload_bits(const Uplink_config& cfg);
-
 // Overload degrade re-planning: the same slot with at most `n_ue` UE
 // layers.  The admission controller (runtime/admission.h) calls this when a
 // slot's predicted queue delay exceeds its numerology budget - serving

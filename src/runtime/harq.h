@@ -2,18 +2,23 @@
 //
 // The scheduler's HARQ loop (scheduler.h, max_harq > 0) re-enqueues slots
 // whose decoded BER exceeds the threshold as deterministic retransmissions:
-// the same transport block (phy::tx_payload_bits is attempt-invariant)
-// under a fresh channel/noise realization (phy::kHarqStream).  This
+// the same transport block (every attempt's scenario draws the same payload
+// bits) under a fresh channel/noise realization (phy::kHarqStream).  This
 // accumulator implements chase combining over the equalized symbols each
 // attempt produced (Slot_result::symbols): attempts are averaged
-// symbol-wise, the average re-demodulated, and the block's decoded BER is
-// the minimum over every per-attempt and combined decode - monotone
-// non-increasing in the attempt count by construction, which is the fuzz
-// suite's core invariant.
+// symbol-wise, the average re-demodulated against the attempt scenario's
+// own tx_bits, and the block's decoded BER is the minimum over every
+// per-attempt and combined decode - monotone non-increasing in the attempt
+// count by construction, which is the fuzz suite's core invariant.
 //
-// Combining runs in the scheduler's serial post-round pass in slot-index
-// order on plain doubles, so the verdict stream is bit-identical for any
-// worker count and - given payload-bit agreement - across backends.
+// The worker that decodes an attempt folds it in, right after recording
+// the slot, without a lock (a round holds at most one attempt per block,
+// and rounds are separated by the worker pool's join - docs/DETERMINISM.md
+// §9), so each combiner still sums its attempts in attempt order on plain
+// doubles and the verdict stream is bit-identical for any worker count.
+// The symbol sums are kept only while the block can still retransmit: a
+// decode that passes the threshold releases them, and a passed block
+// takes no further attempt.
 //
 // Degrade interplay: combining accumulates only attempts executed at the
 // base attempt's layer count (the first executed attempt fixes the shape).
@@ -32,9 +37,12 @@ namespace pp::runtime {
 
 class Harq_combiner {
  public:
-  // Fold one executed attempt (its final config + slot result) into the
+  // A block passes once its best BER is at most `pass_ber`.
+  explicit Harq_combiner(double pass_ber) : pass_ber_(pass_ber) {}
+
+  // Fold one executed attempt (its scenario + slot result) into the
   // accumulator and return the block's best decoded BER so far.
-  double absorb(const phy::Uplink_config& cfg, const Slot_result& r);
+  double absorb(const phy::Uplink_scenario& sc, const Slot_result& r);
 
   // True once any attempt of this block executed (a block whose every
   // attempt was dropped by admission has no decode and never passes).
@@ -42,16 +50,17 @@ class Harq_combiner {
   // Best (lowest) BER over all per-attempt and combined decodes; 1.0 until
   // the first decode.
   double best_ber() const { return best_ber_; }
+  // The block's HARQ verdict: decoded, and its best BER within threshold.
+  bool passed() const { return decoded_ && best_ber_ <= pass_ber_; }
   // Attempts folded into the running symbol average.
   uint32_t combined() const { return combined_; }
 
  private:
+  double pass_ber_;
   bool decoded_ = false;
   uint32_t base_ue_ = 0;
-  phy::Qam qam_ = phy::Qam::qam16;
   uint32_t combined_ = 0;
-  std::vector<std::vector<phy::cd>> sum_;       // [ue][item] symbol sums
-  std::vector<std::vector<uint8_t>> want_;      // transmitted payload bits
+  std::vector<std::vector<phy::cd>> sum_;  // [ue][item] symbol sums
   double best_ber_ = 1.0;
 };
 

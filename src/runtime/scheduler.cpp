@@ -200,12 +200,12 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
   aopt.queue_limit = opt_.queue_limit;
   aopt.min_ue = opt_.degrade_min_ue;
 
-  // Full per-slot results are retained only when someone consumes them:
-  // the caller (keep_slots) or the HARQ combiner (max_harq > 0).  Otherwise
-  // the serving loop runs in summary mode - each worker equalizes into one
-  // private reusable Slot_result and records only the per-slot scalars the
-  // aggregation below needs, so the steady state allocates nothing.
-  const bool retain = opt_.keep_slots || opt_.max_harq > 0;
+  // Full per-slot results are retained only when the caller asks for them
+  // (keep_slots).  Otherwise the serving loop runs in summary mode - each
+  // worker equalizes into one private reusable Slot_result, folds it into
+  // its HARQ block if the loop is on, and records only the per-slot scalars
+  // the aggregation below needs, so the steady state allocates nothing
+  // (with max_harq = 0; a failing block's combiner allocates once).
   struct Slot_stats {
     double evm = 0.0;
     double ber = 0.0;
@@ -218,6 +218,9 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
   std::vector<double> wall_service, wall_synth;
   double wall_seconds = 0.0;
   uint32_t workers_used = 0;
+  // One chase combiner per original slot when the HARQ loop is on.
+  std::vector<Harq_combiner> blocks(opt_.max_harq > 0 ? n_initial : 0,
+                                    Harq_combiner(opt_.harq_ber));
 
   // Per-worker state persists across rounds: the backends (and the slot
   // workspaces they grew on round 0), the summary-mode result scratch (one
@@ -236,7 +239,12 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
   // kernel state (each worker or worker-thread owns a private Backend; the
   // lazily-built twiddle / QAM tables are call_once-guarded and immutable
   // afterwards).  Scenarios come from the admission verdict's final config,
-  // so a degraded slot executes its re-planned layer count.
+  // so a degraded slot executes its re-planned layer count.  The thread
+  // that finishes a slot also folds it into its HARQ block: a round holds
+  // at most one attempt per block (round 0 one job per block, each later
+  // round one retransmission per block still failing), and the join below
+  // separates rounds, so every combiner sums its attempts in attempt order
+  // without a lock.
   auto execute_batch = [&](uint64_t first) {
     // Compact execution stream: dropped jobs are shed before any backend
     // sees them - that is the point of admission control.
@@ -269,8 +277,10 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
         front_pools.push_back(std::make_unique<Front_pool>());
       }
     }
-    auto record = [&](uint64_t i, const Slot_result& r) {
+    auto record = [&](uint64_t i, const phy::Uplink_scenario& sc,
+                      const Slot_result& r) {
       stats[i] = {r.evm, r.ber, r.sigma2_hat, r.total_cycles()};
+      if (!blocks.empty()) blocks[parent[i]].absorb(sc, r);
     };
     auto backend_of = [&](std::unique_ptr<Backend>& slot) -> Backend& {
       if (!slot) slot = make_backend(opt_.backend, opt_.intra);
@@ -282,19 +292,19 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
       const phy::Uplink_scenario sc(verdicts[i].cfg);
       wall_synth[i] = seconds_since(t_synth);
       const auto t0 = Clock::now();
-      Slot_result& dst = retain ? slots[i] : spare;
+      Slot_result& dst = opt_.keep_slots ? slots[i] : spare;
       pipeline.execute_into(sc, backend, dst);
       wall_service[i] = seconds_since(t0);
-      record(i, dst);
+      record(i, sc, dst);
     };
     // Runs the back half of a fronted slot on `backend`.
     auto finish = [&](Front_item& item, Backend& backend, Slot_result& spare,
                       Front_pool& pool) {
       const auto t0 = Clock::now();
-      Slot_result& dst = retain ? slots[item.index] : spare;
+      Slot_result& dst = opt_.keep_slots ? slots[item.index] : spare;
       backend.run_back_into(pipeline, *item.sc, item.front, dst);
       wall_service[item.index] = item.front_seconds + seconds_since(t0);
-      record(item.index, dst);
+      record(item.index, *item.sc, dst);
       pool.put(std::move(item.front));
     };
 
@@ -375,7 +385,6 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
   // loop ends with the first round that spawns none (round 0 itself when
   // max_harq = 0).  Every admission and HARQ decision runs on this thread,
   // in an order that is a pure function of the per-slot results.
-  std::vector<Harq_combiner> blocks(opt_.max_harq > 0 ? n_initial : 0);
   std::vector<uint32_t> spawned(blocks.size(), 0);
   std::vector<Schedule_result::Harq_entry> harq_log;
   std::vector<uint64_t> order;  // every job so far, chronologically
@@ -398,19 +407,19 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
       }
     }
 
-    if (retain) slots.resize(jobs.size());
+    if (opt_.keep_slots) slots.resize(jobs.size());
     stats.resize(jobs.size());
     wall_service.resize(jobs.size(), 0.0);
     wall_synth.resize(jobs.size(), 0.0);
     execute_batch(first);
 
     if (opt_.max_harq == 0) break;
-    // Judge the round in stream order: fold every executed attempt into its
-    // block's chase combiner, record the verdict, and queue a
-    // retransmission for each block still above the BER threshold with
-    // attempts left.  A block whose attempt was dropped by admission gets
-    // no decode this round - NACK-on-silence: it is retransmitted all the
-    // same.
+    // Judge the round in stream order: the workers already folded every
+    // executed attempt into its block's chase combiner, so record each
+    // block's verdict and queue a retransmission for each block still
+    // failing with attempts left.  A block whose attempt was dropped by
+    // admission gets no decode this round - NACK-on-silence: it is
+    // retransmitted all the same.
     const uint64_t round_end = jobs.size();
     struct Pending {
       Slot_job job;
@@ -422,14 +431,9 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
     harq_log.reserve(round_end);
     for (uint64_t i = first; i < round_end; ++i) {
       const uint64_t p = parent[i];
-      Harq_combiner& blk = blocks[p];
-      if (verdicts[i].outcome != Admission_verdict::Outcome::dropped) {
-        blk.absorb(verdicts[i].cfg, slots[i]);
-      }
-      const bool passed = blk.decoded() && blk.best_ber() <= opt_.harq_ber;
-      harq_log.push_back(
-          {p, attempt[i], blk.decoded() ? blk.best_ber() : 1.0, passed});
-      if (!passed && spawned[p] < opt_.max_harq) {
+      const Harq_combiner& blk = blocks[p];
+      harq_log.push_back({p, attempt[i], blk.best_ber(), blk.passed()});
+      if (!blk.passed() && spawned[p] < opt_.max_harq) {
         ++spawned[p];
         Pending r;
         r.job = jobs[p];
@@ -558,10 +562,8 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
     // initial transmission never retransmitted and count as neither.
     for (uint64_t p = 0; p < n_initial; ++p) {
       if (spawned[p] == 0) continue;
-      const bool passed =
-          blocks[p].decoded() && blocks[p].best_ber() <= opt_.harq_ber;
       auto& grp = out.groups[jobs[p].group];
-      ++(passed ? grp.harq_recovered : grp.harq_exhausted);
+      ++(blocks[p].passed() ? grp.harq_recovered : grp.harq_exhausted);
     }
   }
   for (const auto& grp : out.groups) out.shards[grp.shard] += grp;

@@ -220,8 +220,9 @@ struct Schedule_result : Serving_counters {
   // Host-dependent surface, recorded for every executed slot (none under
   // virtual_only): backend execution time (front + back when pipelined),
   // the scenario construction before it, and the wall clock of the
-  // parallel execution phase - the serial admission, HARQ and aggregation
-  // passes run outside wall_seconds.
+  // parallel execution phase, which includes each attempt's HARQ fold on
+  // the worker that decoded it - the serial admission, HARQ judge and
+  // aggregation passes run outside wall_seconds.
   Latency_histogram wall_service;
   Latency_histogram wall_synth;
   double wall_seconds = 0.0;

@@ -41,7 +41,7 @@ phy::Uplink_config tiny_config() {
 // The constellation points the tiny config's payload modulates to - the
 // "perfect equalizer output" attempt.
 std::vector<phy::cd> tiny_points(const phy::Uplink_config& cfg) {
-  return phy::qam_modulate(cfg.qam, phy::tx_payload_bits(cfg)[0]);
+  return phy::qam_modulate(cfg.qam, phy::Uplink_scenario(cfg).tx_bits(0));
 }
 
 Slot_result attempt(const std::vector<phy::cd>& symbols, double ber) {
@@ -59,10 +59,11 @@ std::vector<phy::cd> scaled(const std::vector<phy::cd>& p, double k) {
 
 TEST(Harq, FirstAttemptFixesTheBaseAndItsBer) {
   const auto cfg = tiny_config();
-  Harq_combiner blk;
+  const phy::Uplink_scenario sc(cfg);
+  Harq_combiner blk(0.0);
   EXPECT_FALSE(blk.decoded());
   EXPECT_EQ(blk.best_ber(), 1.0);
-  EXPECT_EQ(blk.absorb(cfg, attempt(tiny_points(cfg), 0.25)), 0.25);
+  EXPECT_EQ(blk.absorb(sc, attempt(tiny_points(cfg), 0.25)), 0.25);
   EXPECT_TRUE(blk.decoded());
   EXPECT_EQ(blk.combined(), 1u);
   EXPECT_EQ(blk.best_ber(), 0.25);
@@ -76,22 +77,24 @@ TEST(Harq, ChaseCombiningRescuesWhatNoSingleAttemptDecodes) {
   // absorb() really re-demodulates the average rather than trusting the
   // per-attempt verdicts.
   const auto cfg = tiny_config();
+  const phy::Uplink_scenario sc(cfg);
   const auto p = tiny_points(cfg);
-  Harq_combiner blk;
-  EXPECT_EQ(blk.absorb(cfg, attempt(scaled(p, -1.0), 1.0)), 1.0);
-  EXPECT_EQ(blk.absorb(cfg, attempt(scaled(p, 5.0), 1.0)), 0.0);
+  Harq_combiner blk(0.0);
+  EXPECT_EQ(blk.absorb(sc, attempt(scaled(p, -1.0), 1.0)), 1.0);
+  EXPECT_EQ(blk.absorb(sc, attempt(scaled(p, 5.0), 1.0)), 0.0);
   EXPECT_EQ(blk.combined(), 2u);
   EXPECT_EQ(blk.best_ber(), 0.0);
 }
 
 TEST(Harq, BestBerIsMonotoneNonIncreasing) {
   const auto cfg = tiny_config();
+  const phy::Uplink_scenario sc(cfg);
   const auto p = tiny_points(cfg);
-  Harq_combiner blk;
-  double prev = blk.absorb(cfg, attempt(scaled(p, -1.0), 1.0));
+  Harq_combiner blk(0.0);
+  double prev = blk.absorb(sc, attempt(scaled(p, -1.0), 1.0));
   // Garbage attempts can only keep or improve the block's best BER.
   for (const double k : {-3.0, -1.0, 0.5, -2.0}) {
-    const double now = blk.absorb(cfg, attempt(scaled(p, k), 1.0));
+    const double now = blk.absorb(sc, attempt(scaled(p, k), 1.0));
     EXPECT_LE(now, prev);
     prev = now;
   }
@@ -103,15 +106,15 @@ TEST(Harq, DegradedShapeAttemptsDoNotJoinTheAverage) {
   // accumulator untouched and return the unchanged best BER.
   const auto cfg = tiny_config();
   const auto p = tiny_points(cfg);
-  Harq_combiner blk;
-  EXPECT_EQ(blk.absorb(cfg, attempt(p, 0.125)), 0.125);
+  Harq_combiner blk(0.0);
+  EXPECT_EQ(blk.absorb(phy::Uplink_scenario(cfg), attempt(p, 0.125)), 0.125);
 
   phy::Uplink_config degraded = cfg;
   degraded.n_ue = 2;
   Slot_result r;
   r.symbols = {p, p};
   r.ber = 0.0;  // even a perfect degraded decode must not count
-  EXPECT_EQ(blk.absorb(degraded, r), 0.125);
+  EXPECT_EQ(blk.absorb(phy::Uplink_scenario(degraded), r), 0.125);
   EXPECT_EQ(blk.combined(), 1u);
   EXPECT_EQ(blk.best_ber(), 0.125);
 }
