@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   opt.workers = 1;
   opt.keep_slots = false;
   opt.virtual_only = true;  // deadline surface only - probes cost ~us
-  opt.service_units = cli.get_u32("--servers", 1);
+  opt.service_units = bench::servers_from_cli(cli);
   opt.clock_ghz = get_positive_double(cli, "--clock-ghz", 0.005);
   opt.shards = cli.get_u32("--shards", 2);
   if (opt.shards < 1) {

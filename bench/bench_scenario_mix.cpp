@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   opt.keep_slots = false;
   opt.shards = cli.get_u32("--shards", 2);
   opt.overload = bench::overload_from_cli(cli, "drop");
-  opt.service_units = cli.get_u32("--servers", 1);
+  opt.service_units = bench::servers_from_cli(cli);
   // Scaled-down clock (same trick as bench_serve_latency): stretches the
   // analytic service times into the slot-budget regime so the drop policy
   // actually sheds under retransmission pressure.

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   opt.backend = bench::backend_from_cli(cli, "sim");
   opt.cluster = bench::cluster_from_cli(cli, "minipool");
   opt.keep_slots = false;
-  opt.service_units = cli.get_u32("--servers", 1);
+  opt.service_units = bench::servers_from_cli(cli);
   opt.clock_ghz = get_positive_double(cli, "--clock-ghz", 0.02);
   const std::string json_path = cli.get("--json", "");
   cli.reject_unknown();

@@ -163,6 +163,17 @@ inline phy::Channel_profile channel_from_cli(const common::Cli& cli,
   return channel_by_name(cli.get("--channel", fallback));
 }
 
+// Virtual servers per shard (--servers, default 1).  0 prints the reason
+// and exits 2 instead of running one server under the scheduler's clamp.
+inline uint32_t servers_from_cli(const common::Cli& cli) {
+  const uint32_t n = cli.get_u32("--servers", 1);
+  if (n == 0) {
+    std::fprintf(stderr, "need at least one virtual server for --servers\n");
+    std::exit(2);
+  }
+  return n;
+}
+
 // Constellation of a --qam order; anything but 4, 16, 64 or 256 prints the
 // accepted orders and exits 2 instead of running another modulation.
 inline phy::Qam qam_from_order(uint32_t order) {

@@ -94,6 +94,7 @@ int main(int argc, char** argv) {
   const auto delay_spread = cli.get_double_list("--delay-spread", "4");
 
   const uint32_t n_cells = cli.get_u32("--cells", 2);
+  if (n_cells < 1) bad_range("--cells", "need at least one cell");
   traffic.cells.clear();
   for (uint32_t c = 0; c < n_cells; ++c) {
     runtime::Traffic_cell cell;
@@ -124,7 +125,7 @@ int main(int argc, char** argv) {
   opt.pipelined = cli.has("--pipelined");
   opt.cluster = bench::cluster_from_cli(cli, "minipool");
   opt.keep_slots = false;  // the CLI only reports the roll-up
-  opt.service_units = cli.get_u32("--servers", 1);
+  opt.service_units = bench::servers_from_cli(cli);
   opt.clock_ghz = cli.get_double("--clock-ghz", 1.0);
   if (!(opt.clock_ghz > 0.0)) {
     bad_range("--clock-ghz", "clock must be positive");

@@ -93,9 +93,13 @@ echo "--- smoke: cross-backend e2e slot with batched Cholesky ---"
 
 echo "--- smoke: fading channel profiles + HARQ retransmission loop ---"
 # TDL fading with Doppler and the closed HARQ loop on the streaming
-# engine, plus the scenario-mix bench's own worker-invariance re-check.
+# engine, whole-slot and stage-pipelined (each attempt is folded by the
+# thread that finished it, a front thread included), plus the scenario-mix
+# bench's own worker-invariance re-check.
 "$BUILD_DIR"/examples/pusch_serve --slots 16 --workers 2 --channel tdl-a \
     --doppler 16 --max-harq 3 --harq-ber 0.005
+"$BUILD_DIR"/examples/pusch_serve --slots 16 --workers 2 --channel tdl-a \
+    --doppler 16 --max-harq 3 --harq-ber 0.005 --pipelined
 "$BUILD_DIR"/examples/pusch_sweep --workers 2 --channel tdl-c --doppler 8 \
     --fft 64 --snr 20,30
 "$BUILD_DIR"/bench/bench_scenario_mix --slots 24 > /dev/null
@@ -110,8 +114,10 @@ echo "--- smoke: sharded serving engine + capacity search ---"
 "$BUILD_DIR"/bench/bench_capacity --slots 96 --iters 8 > /dev/null
 # Unknown flags, and unknown names for the serving flags, must exit 2 with
 # the accepted list (the --list convention), not abort, silently fall back
-# or run on defaults.  pusch_sweep reads none of the serving flags, so it
-# rejects them as unknown; the serving benches reject unknown flags too.
+# or run on defaults; so must a zero shard, server or cell count.
+# pusch_sweep reads none of the serving flags, so it rejects them as
+# unknown; the serving benches reject unknown flags too, and those that
+# read --servers reject 0 servers.
 expect_exit2() {
   local bin="$1" bad="$2"
   if "$BUILD_DIR"/$bin --slots 1 $bad > /dev/null 2>&1; then
@@ -127,14 +133,14 @@ expect_exit2() {
 }
 for cli in pusch_serve pusch_sweep; do
   for bad in "--placement random" "--overload shed" "--shards 0" \
-             "--channel rician" "--bogus-flag 7" "--worker 4" \
-             "--sim-shards 2"; do
+             "--servers 0" "--cells 0" "--channel rician" "--bogus-flag 7" \
+             "--worker 4" "--sim-shards 2"; do
     expect_exit2 examples/$cli "$bad"
   done
 done
 for bench in bench_serve_latency bench_scenario_mix bench_capacity \
              bench_throughput_sweep; do
-  for bad in "--bogus-flag 7" "--worker 4"; do
+  for bad in "--bogus-flag 7" "--worker 4" "--servers 0" "--cells 0"; do
     expect_exit2 bench/$bench "$bad"
   done
 done
