@@ -93,8 +93,7 @@ Sim_backend::Slot::Slot(const Q15_chain& c)
                                .set("n", cfg.n_ue)
                                .set("per_core", per_sym * c.batch);
   chol = make_kernel(c.mimo.run.kernel, m, alloc, mimo_dims);
-  solve = make_kernel(c.mimo.run.params.gets("solver", "trisolve.batch"), m,
-                      alloc, mimo_dims);
+  solve = make_kernel("trisolve.batch", m, alloc, mimo_dims);
 }
 
 Sim_backend::Sim_backend() = default;

@@ -14,7 +14,7 @@
 namespace pp::runtime {
 
 Params kernel_params(const Exec_spec& spec) {
-  return Params(spec.params).unset("symb_batch").unset("solver");
+  return Params(spec.params).unset("symb_batch");
 }
 
 namespace {

@@ -57,10 +57,10 @@ struct Stage_spec {
   bool core_set = true;  // counts toward the roll-up's parallel total
 };
 
-// Kernel-ready params of an Exec_spec: stage-level scheduling keys
-// (symb_batch, solver - consumed by the execution engines, not by kernel
-// factories) are stripped.  Both measure() and the backends build kernel
-// params through this.
+// Kernel-ready params of an Exec_spec: the stage-level scheduling key
+// symb_batch (consumed by the execution engines, not by kernel factories)
+// is stripped.  Both measure() and the backends build kernel params
+// through this.
 Params kernel_params(const Exec_spec& spec);
 
 // Resolves an fft stage's concurrent gang count against a cluster: an
