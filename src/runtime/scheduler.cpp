@@ -204,8 +204,9 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
   // (keep_slots).  Otherwise the serving loop runs in summary mode - each
   // worker equalizes into one private reusable Slot_result, folds it into
   // its HARQ block if the loop is on, and records only the per-slot scalars
-  // the aggregation below needs, so the steady state allocates nothing
-  // (with max_harq = 0; a failing block's combiner allocates once).
+  // the aggregation below needs, so with max_harq = 0 the steady state
+  // allocates nothing (a failing HARQ block's combiner state is the
+  // declared exemption, docs/DETERMINISM.md §10).
   struct Slot_stats {
     double evm = 0.0;
     double ber = 0.0;
