@@ -35,7 +35,8 @@ double seconds_since(Clock::time_point t0) {
 // one-deep mailbox.  The front thread hands a slot over only when the
 // mailbox is empty and never waits for it to drain; the back thread takes
 // a waiting slot without blocking, and blocks only once the job stream is
-// exhausted.
+// exhausted.  A front thread whose stream is exhausted takes back a slot
+// the back thread has not collected.
 struct Front_item {
   uint64_t index = 0;
   std::unique_ptr<const phy::Uplink_scenario> sc;
@@ -248,14 +249,25 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
   // without a lock.
   auto execute_batch = [&](uint64_t first) {
     // Compact execution stream: dropped jobs are shed before any backend
-    // sees them - that is the point of admission control.
+    // sees them - that is the point of admission control.  The admitted
+    // jobs are dispatched longest-predicted-first (the analytic service
+    // time of the verdict's config, ties in index order), so a round's
+    // largest slots start at once and the short ones fill in behind them
+    // instead of one large slot running alone at the round's end.
     std::vector<uint64_t> exec;
+    std::vector<double> predicted(jobs.size() - first, 0.0);
     exec.reserve(jobs.size() - first);
     for (uint64_t i = first; i < jobs.size(); ++i) {
       if (verdicts[i].outcome != Admission_verdict::Outcome::dropped) {
         exec.push_back(i);
+        predicted[i - first] = analytic_service_seconds(
+            verdicts[i].cfg, opt_.cluster, opt_.clock_ghz);
       }
     }
+    std::sort(exec.begin(), exec.end(), [&](uint64_t a, uint64_t b) {
+      const double pa = predicted[a - first], pb = predicted[b - first];
+      return pa != pb ? pa > pb : a < b;
+    });
 
     uint32_t workers = opt_.workers;
     if (workers == 0) {
@@ -314,12 +326,14 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
     // front thread with a private backend: it synthesizes each scenario it
     // pulls and runs its FFT + beamforming, then hands the slot to the back
     // thread if the mailbox is empty, or else runs the back half itself.
-    // The back thread equalizes handed slots; when none is waiting it pulls
-    // the next job from the shared cursor and serves it whole.  Unpipelined,
-    // the mailbox is closed before the worker starts, so it serves whole
-    // slots until the stream is drained.  Every result still lands at its
-    // job index, so which thread finished a slot changes nothing but the
-    // clock.
+    // Once the cursor is drained it takes back a slot still waiting in its
+    // mailbox and finishes it, rather than leave it stranded behind a whole
+    // slot the back thread is serving.  The back thread
+    // equalizes handed slots; when none is waiting it pulls the next job
+    // from the shared cursor and serves it whole.  Unpipelined, the mailbox
+    // is closed before the worker starts, so it serves whole slots until
+    // the stream is drained.  Every result still lands at its job index, so
+    // which thread finished a slot changes nothing but the clock.
     auto work_front = [&](uint32_t w, Front_mailbox& box) {
       Backend& backend = backend_of(front_backends[w]);
       for (;;) {
@@ -335,11 +349,12 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
         const auto t0 = Clock::now();
         backend.run_front_into(pipeline, *item.sc, item.front);
         item.front_seconds = seconds_since(t0);
-        if (box.try_push(item)) {
-          handoffs.fetch_add(1, std::memory_order_relaxed);
-        } else {
+        if (!box.try_push(item)) {
           finish(item, backend, front_scratch[w], *front_pools[w]);
         }
+      }
+      if (std::optional<Front_item> item = box.try_pop()) {
+        finish(*item, backend, front_scratch[w], *front_pools[w]);
       }
       box.close();
     };
@@ -356,6 +371,7 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
           item = box.pop();  // the stream is drained: wait for the front
           if (!item) break;
         }
+        handoffs.fetch_add(1, std::memory_order_relaxed);
         finish(*item, backend, scratch[w], *front_pools[w]);
       }
     };

@@ -11,16 +11,22 @@
 //                     (traffic.h) generates stochastic multi-cell uplink
 //                     traffic with Poisson arrivals.
 //   Slot_scheduler    a worker pool pulling job indices from an atomic
-//                     cursor, one private Backend per worker; optionally
-//                     stage-pipelined: each worker becomes a front thread
-//                     (synthesis, OFDM FFT + beamforming of slot n+1) and a
-//                     back thread (CHE/NE/LMMSE MIMO of slot n) connected
-//                     by a one-deep mailbox.  Neither thread idles while
-//                     there is work: the front thread finishes its own slot
-//                     when the mailbox is full, and the back thread serves
-//                     whole slots from the cursor when it is empty.
-//                     Composes with the "parallel" backend's intra-slot
-//                     split.
+//                     cursor, one private Backend per worker.  Each round's
+//                     admitted jobs are dispatched longest-predicted-first
+//                     (analytic_service_seconds of the admitted config,
+//                     ties in index order), so the largest slots start
+//                     together and the short ones fill in behind them.
+//                     Optionally stage-pipelined: each worker becomes a
+//                     front thread (synthesis, OFDM FFT + beamforming of
+//                     slot n+1) and a back thread (CHE/NE/LMMSE MIMO of
+//                     slot n) connected by a one-deep mailbox.  Neither
+//                     thread idles while there is work: the front thread
+//                     finishes its own slot when the mailbox is full, the
+//                     back thread serves whole slots from the cursor when
+//                     it is empty, and a front thread whose cursor is
+//                     drained takes back a slot still waiting in its
+//                     mailbox and finishes it.  Composes with the
+//                     "parallel" backend's intra-slot split.
 //   sharding          the serving engine runs as `shards` scheduler shards,
 //                     each owning one virtual cluster's worth of service
 //                     units and its own FCFS virtual-clock queue.  Source
@@ -226,8 +232,9 @@ struct Schedule_result : Serving_counters {
   Latency_histogram wall_service;
   Latency_histogram wall_synth;
   double wall_seconds = 0.0;
-  // Executed slots whose front half crossed the front->back mailbox (0
-  // unless pipelined); the rest ran whole on one thread of their pair.
+  // Executed slots that crossed the front->back mailbox, counted when the
+  // back thread takes one (0 unless pipelined); the rest, a slot its front
+  // thread took back included, ran whole on one thread of their pair.
   uint64_t handoffs = 0;
 
   std::string source;
