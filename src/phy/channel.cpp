@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define PP_PHY_X86 1
+#endif
+
 #include "common/check.h"
 
 namespace pp::phy {
@@ -76,6 +81,84 @@ constexpr Raw_tap kTdlC[] = {
     {4.2589, -13.9}, {4.6003, -13.9}, {5.4902, -15.8}, {5.6077, -17.1},
     {6.3065, -16.0}, {6.6374, -15.7}, {7.0427, -21.6}, {8.6523, -22.8},
 };
+
+// One TDL row on sub-carriers [sc0, n_sc): out[sc] = sum_t g_t phase_t[sc]
+// with g_t = g[t * g_stride] and tap t's ramp in split rows of `phase`
+// (channel.h).  Sub-carrier blocks on stack accumulators: each element
+// starts from +0 and adds the taps in table order - the per-element sum's
+// exact sequence - while the block loop vectorizes.
+void row_scalar(const cd* g, size_t g_stride, uint32_t n_taps,
+                const double* phase, uint32_t n_sc, uint32_t sc0, cd* out) {
+  constexpr uint32_t kBlock = 256;
+  for (; sc0 < n_sc; sc0 += kBlock) {
+    const uint32_t n = std::min(kBlock, n_sc - sc0);
+    double acc_re[kBlock] = {}, acc_im[kBlock] = {};
+    for (uint32_t t = 0; t < n_taps; ++t) {
+      const double gr = g[t * g_stride].real(), gi = g[t * g_stride].imag();
+      const double* xr = phase + 2 * static_cast<size_t>(t) * n_sc + sc0;
+      const double* xi = xr + n_sc;
+      for (uint32_t i = 0; i < n; ++i) {
+        acc_re[i] += gr * xr[i] - gi * xi[i];
+        acc_im[i] += gr * xi[i] + gi * xr[i];
+      }
+    }
+    for (uint32_t i = 0; i < n; ++i) out[sc0 + i] = cd{acc_re[i], acc_im[i]};
+  }
+}
+
+#if defined(PP_PHY_X86)
+
+bool avx2_supported() {
+  static const bool ok = __builtin_cpu_supports("avx2");
+  return ok;
+}
+
+// row_scalar's sum on 16 sub-carriers at a time, four per AVX2 vector: the
+// block's real and imaginary accumulators stay in registers across every
+// tap.  Compiled for AVX2 without FMA, so each product and sum rounds
+// exactly as in row_scalar.  Returns the sub-carriers done, a multiple of
+// 16; row_scalar finishes the rest.
+__attribute__((target("avx2"))) uint32_t row_avx2(const cd* g,
+                                                  size_t g_stride,
+                                                  uint32_t n_taps,
+                                                  const double* phase,
+                                                  uint32_t n_sc, cd* out) {
+  constexpr uint32_t kVec = 4;  // vectors per block
+  const uint32_t done = n_sc - n_sc % (4 * kVec);
+  double* o = reinterpret_cast<double*>(out);
+  for (uint32_t sc = 0; sc < done; sc += 4 * kVec) {
+    __m256d re[kVec], im[kVec];
+    for (uint32_t k = 0; k < kVec; ++k) {
+      re[k] = _mm256_setzero_pd();
+      im[k] = _mm256_setzero_pd();
+    }
+    for (uint32_t t = 0; t < n_taps; ++t) {
+      const __m256d gr = _mm256_set1_pd(g[t * g_stride].real());
+      const __m256d gi = _mm256_set1_pd(g[t * g_stride].imag());
+      const double* xr = phase + 2 * static_cast<size_t>(t) * n_sc + sc;
+      const double* xi = xr + n_sc;
+      for (uint32_t k = 0; k < kVec; ++k) {
+        const __m256d a = _mm256_loadu_pd(xr + 4 * k);
+        const __m256d b = _mm256_loadu_pd(xi + 4 * k);
+        re[k] = _mm256_add_pd(
+            re[k], _mm256_sub_pd(_mm256_mul_pd(gr, a), _mm256_mul_pd(gi, b)));
+        im[k] = _mm256_add_pd(
+            im[k], _mm256_add_pd(_mm256_mul_pd(gr, b), _mm256_mul_pd(gi, a)));
+      }
+    }
+    // {re0..re3}, {im0..im3} -> {re0, im0, re1, im1}, {re2, im2, re3, im3}.
+    for (uint32_t k = 0; k < kVec; ++k) {
+      const __m256d lo = _mm256_unpacklo_pd(re[k], im[k]);
+      const __m256d hi = _mm256_unpackhi_pd(re[k], im[k]);
+      double* dst = o + 2 * (static_cast<size_t>(sc) + 4 * k);
+      _mm256_storeu_pd(dst, _mm256_permute2f128_pd(lo, hi, 0x20));
+      _mm256_storeu_pd(dst + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
+    }
+  }
+  return done;
+}
+
+#endif
 
 }  // namespace
 
@@ -156,14 +239,16 @@ Channel::Channel(const Channel_config& cfg, common::Rng& rng) : cfg_(cfg) {
   // n_sc) with tau_t the tap's excess delay in sub-carrier-grid samples.
   // Only the phase ramps are stored, shared across antennas and UEs;
   // row_into() sums the response on demand.
-  phase_.resize(static_cast<size_t>(n_taps_) * cfg_.n_sc);
+  phase_.resize(2 * static_cast<size_t>(n_taps_) * cfg_.n_sc);
   for (uint32_t t = 0; t < n_taps_; ++t) {
     const double tau = table[t].delay * cfg_.delay_spread;
+    double* re = phase_.data() + 2 * static_cast<size_t>(t) * cfg_.n_sc;
+    double* im = re + cfg_.n_sc;
     for (uint32_t sc = 0; sc < cfg_.n_sc; ++sc) {
       const double ang =
           -2.0 * M_PI * tau * static_cast<double>(sc) / cfg_.n_sc;
-      phase_[static_cast<size_t>(t) * cfg_.n_sc + sc] =
-          cd{std::cos(ang), std::sin(ang)};
+      re[sc] = std::cos(ang);
+      im[sc] = std::sin(ang);
     }
   }
 }
@@ -182,20 +267,16 @@ void Channel::row_into(uint32_t s, uint32_t r, uint32_t l,
     std::copy(row, row + cfg_.n_sc, out.begin());
     return;
   }
-  // Sub-carrier blocks on stack accumulators: each element starts from +0
-  // and adds the taps in table order - the per-element sum's exact
-  // sequence - while the block loop vectorizes.
-  constexpr uint32_t kBlock = 256;
-  for (uint32_t sc0 = 0; sc0 < cfg_.n_sc; sc0 += kBlock) {
-    const uint32_t n = std::min(kBlock, cfg_.n_sc - sc0);
-    double acc_re[kBlock] = {}, acc_im[kBlock] = {};
-    for (uint32_t t = 0; t < n_taps_; ++t) {
-      cmac_split(taps_[tap_offset(s, t, r, l)],
-                 &phase_[static_cast<size_t>(t) * cfg_.n_sc + sc0], acc_re,
-                 acc_im, n);
-    }
-    for (uint32_t i = 0; i < n; ++i) out[sc0 + i] = cd{acc_re[i], acc_im[i]};
+  const cd* g = &taps_[tap_offset(s, 0, r, l)];
+  const size_t g_stride = tap_offset(0, 1, 0, 0);
+  uint32_t sc0 = 0;
+#if defined(PP_PHY_X86)
+  if (avx2_supported()) {
+    sc0 = row_avx2(g, g_stride, n_taps_, phase_.data(), cfg_.n_sc,
+                   out.data());
   }
+#endif
+  row_scalar(g, g_stride, n_taps_, phase_.data(), cfg_.n_sc, sc0, out.data());
 }
 
 cd Channel::tap_gain(uint32_t s, uint32_t t, uint32_t r, uint32_t l) const {

@@ -92,7 +92,8 @@ class Channel {
   // entries, sub-carrier order).  The flat profile copies its one stored
   // symbol; TDL profiles sum the row on demand - no [s][r][l][sc] response
   // is ever stored - with every element starting from +0 and adding the
-  // taps in table order.
+  // taps in table order, four sub-carriers per AVX2 vector on hosts that
+  // have it and in plain doubles otherwise (bit-identical either way).
   void row_into(uint32_t s, uint32_t r, uint32_t l, std::span<cd> out) const;
 
   const Channel_config& config() const { return cfg_; }
@@ -122,10 +123,13 @@ class Channel {
   }
 
   Channel_config cfg_;
-  uint32_t n_taps_ = 0;    // TDL tap count
-  std::vector<cd> taps_;   // TDL: [s][t][r][l]
-  std::vector<cd> phase_;  // TDL: tap delay phase ramp [t][sc]
-  std::vector<cd> flat_;   // flat: the one symbol's response [r][l][sc]
+  uint32_t n_taps_ = 0;        // TDL tap count
+  std::vector<cd> taps_;       // TDL: [s][t][r][l]
+  // TDL: tap delay phase ramps as split rows [t][re, im][sc] - tap t's real
+  // parts at 2 t n_sc, its imaginary parts right after - so row_into()
+  // loads whole vectors of either part.
+  std::vector<double> phase_;
+  std::vector<cd> flat_;       // flat: the one symbol's response [r][l][sc]
 };
 
 // acc[i] += g * x[i] for i < n, on split real and imaginary accumulators:

@@ -324,6 +324,10 @@ std::vector<Synthesis_case> synthesis_cases() {
   flat_quiet.sigma2 = 0.0;
   auto tdlc_quiet = synthesis_config(64, 2, Channel_profile::tdl_c, 100.0, 18);
   tdlc_quiet.sigma2 = 0.0;
+  // 100 sub-carriers are not a multiple of the channel rows' 16-sub-carrier
+  // SIMD block, so both the SIMD prefix and the scalar tail feed the digests.
+  auto tdla_ragged = synthesis_config(128, 2, Channel_profile::tdl_a, 30.0, 19);
+  tdla_ragged.n_sc = 100;
   return {
       {"flat-64pt-1ue",
        flat(64, 1, 11),
@@ -357,6 +361,10 @@ std::vector<Synthesis_case> synthesis_cases() {
        tdlc_quiet,
        {0x5385d36c30c233be, 0x997341ea6e1f2d35, 0xbca0d274834e4abd,
         0x388a9a84f51cec21, 0x964d8041a432eded}},
+      {"tdla-100sc-128pt",
+       tdla_ragged,
+       {0x02703ff73cac6f58, 0x65c6304db27701c7, 0x60a0c37c79183d11,
+        0xbcf731c3bb784b19, 0x03e65135d8411053}},
   };
 }
 
