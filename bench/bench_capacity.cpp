@@ -120,11 +120,7 @@ int main(int argc, char** argv) {
   opt.virtual_only = true;  // deadline surface only - probes cost ~us
   opt.service_units = bench::servers_from_cli(cli);
   opt.clock_ghz = get_positive_double(cli, "--clock-ghz", 0.005);
-  opt.shards = cli.get_u32("--shards", 2);
-  if (opt.shards < 1) {
-    std::fprintf(stderr, "need at least one shard for --shards\n");
-    std::exit(2);
-  }
+  opt.shards = bench::shards_from_cli(cli, 2);
   opt.placement = bench::placement_from_cli(cli, "load-aware");
   opt.overload = bench::overload_from_cli(cli);
   opt.queue_limit = cli.get_u32("--queue-limit", 8);

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   opt.backend = bench::backend_from_cli(cli, "reference");
   opt.cluster = bench::cluster_from_cli(cli, "minipool");
   opt.keep_slots = false;
-  opt.shards = cli.get_u32("--shards", 2);
+  opt.shards = bench::shards_from_cli(cli, 2);
   opt.overload = bench::overload_from_cli(cli, "drop");
   opt.service_units = bench::servers_from_cli(cli);
   // Scaled-down clock (same trick as bench_serve_latency): stretches the

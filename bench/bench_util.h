@@ -174,6 +174,17 @@ inline uint32_t servers_from_cli(const common::Cli& cli) {
   return n;
 }
 
+// Scheduler shards (--shards, default `fallback`).  0 prints the reason and
+// exits 2 instead of running one shard under the scheduler's clamp.
+inline uint32_t shards_from_cli(const common::Cli& cli, uint32_t fallback) {
+  const uint32_t n = cli.get_u32("--shards", fallback);
+  if (n == 0) {
+    std::fprintf(stderr, "need at least one shard for --shards\n");
+    std::exit(2);
+  }
+  return n;
+}
+
 // Constellation of a --qam order; anything but 4, 16, 64 or 256 prints the
 // accepted orders and exits 2 instead of running another modulation.
 inline phy::Qam qam_from_order(uint32_t order) {

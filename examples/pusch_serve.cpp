@@ -130,8 +130,7 @@ int main(int argc, char** argv) {
   if (!(opt.clock_ghz > 0.0)) {
     bad_range("--clock-ghz", "clock must be positive");
   }
-  opt.shards = cli.get_u32("--shards", 1);
-  if (opt.shards < 1) bad_range("--shards", "need at least one shard");
+  opt.shards = bench::shards_from_cli(cli, 1);
   opt.placement = bench::placement_from_cli(cli);
   opt.overload = bench::overload_from_cli(cli);
   opt.queue_limit = cli.get_u32("--queue-limit", 8);
