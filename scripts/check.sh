@@ -9,7 +9,8 @@
 # markdown link check over README + docs/, a bench_all --quick pass
 # whose JSON reports are
 # validated and diffed against the committed baseline
-# (bench/baselines/quick.json, deterministic metrics only), a
+# (bench/baselines/quick.json, deterministic metrics only), a 3 s run of
+# each gated perfbench workload against its own oracles, a
 # PP_COUNT_ALLOCS build of the serving benches that gates the
 # zero-steady-state-allocation workspace contract, and an ASan+UBSan build
 # of the receive-chain, serving-engine, Q15 kernel and simulator suites.
@@ -117,7 +118,7 @@ echo "--- smoke: sharded serving engine + capacity search ---"
 # or run on defaults; so must a zero shard, server or cell count.
 # pusch_sweep reads none of the serving flags, so it rejects them as
 # unknown; the serving benches reject unknown flags too, and those that
-# read --servers reject 0 servers.
+# read --servers or --shards reject 0 servers or shards.
 expect_exit2() {
   local bin="$1" bad="$2"
   if "$BUILD_DIR"/$bin --slots 1 $bad > /dev/null 2>&1; then
@@ -140,7 +141,8 @@ for cli in pusch_serve pusch_sweep; do
 done
 for bench in bench_serve_latency bench_scenario_mix bench_capacity \
              bench_throughput_sweep; do
-  for bad in "--bogus-flag 7" "--worker 4" "--servers 0" "--cells 0"; do
+  for bad in "--bogus-flag 7" "--worker 4" "--servers 0" "--cells 0" \
+             "--shards 0"; do
     expect_exit2 bench/$bench "$bad"
   done
 done
@@ -175,6 +177,28 @@ if command -v python3 >/dev/null 2>&1; then
       "$BUILD_DIR/bench-reports/BENCH_summary.json"
 else
   echo "python3 not found - skipped JSON validation + baseline diff"
+fi
+
+echo "--- smoke: the perfbench workloads against their own oracles ---"
+# Each gated workload (BENCHMARK.json) for 3 s: perfbench/run.py builds the
+# benchmark in its own tree and exits non-zero if any output differs from
+# its oracle; the last line it prints must also report no failed operation.
+if command -v python3 >/dev/null 2>&1; then
+  for workload in serve-mix sim-usecase; do
+    result="$(CARGO_TARGET_DIR="$BUILD_DIR-perfbench" python3 perfbench/run.py \
+        --workload "$workload" --seed 1 --seconds 3 --trace 0 | tail -n 1)" || {
+      echo "perfbench $workload exited non-zero"
+      exit 1
+    }
+    python3 -c 'import json, sys
+r = json.loads(sys.argv[2])
+sys.exit("perfbench %s: %s failed" % (sys.argv[1], r["failed"])
+         if r["failed"] else 0)' \
+        "$workload" "$result"
+    echo "perfbench $workload: 0 failed"
+  done
+else
+  echo "python3 not found - skipped the perfbench oracle smoke"
 fi
 
 echo "--- zero-steady-state-allocation gate (PP_COUNT_ALLOCS build) ---"
