@@ -34,16 +34,6 @@ namespace {
 
 using namespace pp;
 
-double get_positive_double(const common::Cli& cli, const char* flag,
-                           double fallback) {
-  const double v = cli.get_double(flag, fallback);
-  if (!(v > 0.0)) {
-    std::fprintf(stderr, "value must be positive for %s\n", flag);
-    std::exit(2);
-  }
-  return v;
-}
-
 // The fixed four-cell mix under search: a mu=1 macro cell, a 4-layer mu=0
 // cell (the wider budget absorbs its heavier MIMO stages), two mu=2 small
 // cells - mixed numerology, UE count and QAM order, all at unit base load
@@ -110,7 +100,7 @@ int main(int argc, char** argv) {
   const uint64_t n_slots = cli.get_u32("--slots", 160);
   const uint64_t seed = cli.get_u32("--seed", 1);
   const uint32_t iters = cli.get_u32("--iters", 12);
-  const double max_scale = get_positive_double(cli, "--max-scale", 8.0);
+  const double max_scale = bench::positive_from_cli(cli, "--max-scale", 8.0);
 
   runtime::Scheduler_options opt;
   opt.backend = bench::backend_from_cli(cli);
@@ -119,7 +109,7 @@ int main(int argc, char** argv) {
   opt.keep_slots = false;
   opt.virtual_only = true;  // deadline surface only - probes cost ~us
   opt.service_units = bench::servers_from_cli(cli);
-  opt.clock_ghz = get_positive_double(cli, "--clock-ghz", 0.005);
+  opt.clock_ghz = bench::positive_from_cli(cli, "--clock-ghz", 0.005);
   opt.shards = bench::shards_from_cli(cli, 2);
   opt.placement = bench::placement_from_cli(cli, "load-aware");
   opt.overload = bench::overload_from_cli(cli);

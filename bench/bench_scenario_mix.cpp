@@ -27,21 +27,7 @@
 #include "common/cli.h"
 #include "runtime/traffic.h"
 
-namespace {
-
 using namespace pp;
-
-double get_positive_double(const common::Cli& cli, const char* flag,
-                           double fallback) {
-  const double v = cli.get_double(flag, fallback);
-  if (!(v > 0.0)) {
-    std::fprintf(stderr, "value must be positive for %s\n", flag);
-    std::exit(2);
-  }
-  return v;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   common::Cli cli(argc, argv);
@@ -58,7 +44,7 @@ int main(int argc, char** argv) {
   traffic.base_seed = cli.get_u32("--seed", 1);
   const double doppler = cli.get_double("--doppler", 6.0);
   const double snr = cli.get_double("--snr", 30.0);
-  const double load = get_positive_double(cli, "--load", 0.9);
+  const double load = bench::positive_from_cli(cli, "--load", 0.9);
 
   runtime::Traffic_cell cell0;  // flat baseline, mu=0
   cell0.mu = 0;
@@ -98,7 +84,7 @@ int main(int argc, char** argv) {
   // Scaled-down clock (same trick as bench_serve_latency): stretches the
   // analytic service times into the slot-budget regime so the drop policy
   // actually sheds under retransmission pressure.
-  opt.clock_ghz = get_positive_double(cli, "--clock-ghz", 0.02);
+  opt.clock_ghz = bench::positive_from_cli(cli, "--clock-ghz", 0.02);
   opt.max_harq = cli.get_u32("--max-harq", 2);
   opt.harq_ber = cli.get_double("--harq-ber", 0.01);
   const std::string json_path = cli.get("--json", "");

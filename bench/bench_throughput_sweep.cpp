@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   grid.slots_per_point = cli.get_u32("--slots", 2);
 
   runtime::Scheduler_options opt;
-  opt.backend = cli.get("--backend", "reference");
+  opt.backend = bench::backend_from_cli(cli);
   opt.cluster = bench::cluster_from_cli(cli, "minipool");
 
   const uint32_t workers_flag = cli.get_u32("--workers", 0);

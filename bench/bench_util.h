@@ -174,6 +174,18 @@ inline uint32_t servers_from_cli(const common::Cli& cli) {
   return n;
 }
 
+// A positive double flag (`flag`, default `fallback`).  Zero, a negative
+// value or NaN prints the reason and exits 2 instead of running on it.
+inline double positive_from_cli(const common::Cli& cli, const char* flag,
+                                double fallback) {
+  const double v = cli.get_double(flag, fallback);
+  if (!(v > 0.0)) {
+    std::fprintf(stderr, "value must be positive for %s\n", flag);
+    std::exit(2);
+  }
+  return v;
+}
+
 // Scheduler shards (--shards, default `fallback`).  0 prints the reason and
 // exits 2 instead of running one shard under the scheduler's clamp.
 inline uint32_t shards_from_cli(const common::Cli& cli, uint32_t fallback) {

@@ -9,7 +9,7 @@
 //   ./examples/pusch_serve                               # 2 cells, 64 slots
 //   ./examples/pusch_serve --cells 2 --slots 128 --load 0.8
 //       --mu 1,0 --fft 64,256 --ue 2,4 --qam 16,64 --snr 30
-//       --backend reference --workers 4 --pipelined
+//       --backend reference --workers 4
 //   ./examples/pusch_serve --backend sim --arch minipool --clock-ghz 0.02
 //   ./examples/pusch_serve --shards 2 --placement load-aware
 //       --overload degrade --load 1.5                    # sharded serving
@@ -23,14 +23,13 @@
 // (phy/channel.h: flat | tdl-a | tdl-c); --max-harq N closes the HARQ
 // loop - slots decoding above --harq-ber re-enter the stream as chase-
 // combined retransmissions, at most N per slot, admitted against the same
-// capacity as the exogenous traffic.  --pipelined overlaps the
-// front half (FFT + beamforming) of slot n+1 with the back half of slot n
-// (host backends only); --intra N additionally splits every kernel inside
-// the "parallel" backend.  Deadline metrics run on the deterministic
-// virtual clock - simulated cycles at --clock-ghz on the sim backend, the
-// analytic MAC model on host backends, drained by --servers virtual
-// clusters - so miss counts and latency percentiles are bit-identical for
-// any --workers and with --pipelined on or off (docs/DETERMINISM.md).
+// capacity as the exogenous traffic.  Each of the --workers threads
+// serves whole slots; --intra N additionally splits every kernel inside the
+// "parallel" and "fixed" backends.  Deadline metrics run on the
+// deterministic virtual clock - simulated cycles at --clock-ghz on the sim
+// backend, the analytic MAC model on host backends, drained by --servers
+// virtual clusters - so miss counts and latency percentiles are
+// bit-identical for any --workers (docs/DETERMINISM.md).
 //
 // Sharded serving (docs/DETERMINISM.md §8): --shards N runs N scheduler
 // shards, each its own FCFS virtual-clock queue of --servers clusters;
@@ -122,14 +121,10 @@ int main(int argc, char** argv) {
   opt.backend = bench::backend_from_cli(cli);
   opt.workers = cli.get_u32("--workers", 0);
   opt.intra = cli.get_u32("--intra", 1);
-  opt.pipelined = cli.has("--pipelined");
   opt.cluster = bench::cluster_from_cli(cli, "minipool");
   opt.keep_slots = false;  // the CLI only reports the roll-up
   opt.service_units = bench::servers_from_cli(cli);
-  opt.clock_ghz = cli.get_double("--clock-ghz", 1.0);
-  if (!(opt.clock_ghz > 0.0)) {
-    bad_range("--clock-ghz", "clock must be positive");
-  }
+  opt.clock_ghz = bench::positive_from_cli(cli, "--clock-ghz", 1.0);
   opt.shards = bench::shards_from_cli(cli, 1);
   opt.placement = bench::placement_from_cli(cli);
   opt.overload = bench::overload_from_cli(cli);
@@ -171,7 +166,6 @@ int main(int argc, char** argv) {
   rep.add_meta("backend", res.backend);
   rep.add_meta("cluster", opt.cluster.name);
   rep.add_meta("workers", std::to_string(res.workers));
-  rep.add_meta("pipelined", res.pipelined ? "yes" : "no");
   rep.add_meta("servers", std::to_string(opt.service_units));
   rep.add_meta("shards", std::to_string(opt.shards));
   rep.add_meta("placement", res.placement);
@@ -264,7 +258,5 @@ int main(int argc, char** argv) {
                 1e6 * res.wall_service.percentile(0.99), "us", false, "info");
   totals.metric("wall_synth_p50_us", 1e6 * res.wall_synth.percentile(0.50),
                 "us", false, "info");
-  totals.metric("handoffs", static_cast<double>(res.handoffs), "count", false,
-                "info");
   return bench::emit(rep, json_path);
 }

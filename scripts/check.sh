@@ -3,8 +3,8 @@
 # quickstart example (registry + pipeline on both backends), small scenario
 # sweeps (slot scheduler + determinism cross-check, including the
 # intra-slot 'parallel' backend), the streaming traffic engine
-# (pusch_serve, stage-pipelined and --list), the fading channel profiles
-# and HARQ loop (TDL serve + bench_scenario_mix), the sharded serving
+# (pusch_serve on four whole-slot threads, and --list), the fading channel
+# profiles and HARQ loop (TDL serve + bench_scenario_mix), the sharded serving
 # engine (placement + overload policies, CLI validation, bench_capacity), a
 # markdown link check over README + docs/, a bench_all --quick pass
 # whose JSON reports are
@@ -74,9 +74,10 @@ echo "--- smoke: 2-worker scenario sweep (small grid, all four backends) ---"
 "$BUILD_DIR"/bench/bench_fixed_host --fft 256 --symb 4
 
 echo "--- smoke: streaming traffic engine (pusch_serve + --list) ---"
-# Stage-pipelined streaming on the host models, the sim backend's
-# deterministic deadline accounting, and the registry catalog listing.
-"$BUILD_DIR"/examples/pusch_serve --slots 16 --workers 2 --pipelined
+# Streaming on four whole-slot threads on the host models, the sim
+# backend's deterministic deadline accounting, and the registry catalog
+# listing.
+"$BUILD_DIR"/examples/pusch_serve --slots 16 --workers 4
 "$BUILD_DIR"/examples/pusch_serve --backend sim --slots 6 --clock-ghz 0.02
 # Two concurrent simulated machines: every --workers count prints the same
 # deterministic surface (docs/DETERMINISM.md section 5).
@@ -94,13 +95,13 @@ echo "--- smoke: cross-backend e2e slot with batched Cholesky ---"
 
 echo "--- smoke: fading channel profiles + HARQ retransmission loop ---"
 # TDL fading with Doppler and the closed HARQ loop on the streaming
-# engine, whole-slot and stage-pipelined (each attempt is folded by the
-# thread that finished it, a front thread included), plus the scenario-mix
-# bench's own worker-invariance re-check.
+# engine, on two and on four serving threads (each attempt is folded by the
+# thread that decoded it), plus the scenario-mix bench's own
+# worker-invariance re-check.
 "$BUILD_DIR"/examples/pusch_serve --slots 16 --workers 2 --channel tdl-a \
     --doppler 16 --max-harq 3 --harq-ber 0.005
-"$BUILD_DIR"/examples/pusch_serve --slots 16 --workers 2 --channel tdl-a \
-    --doppler 16 --max-harq 3 --harq-ber 0.005 --pipelined
+"$BUILD_DIR"/examples/pusch_serve --slots 16 --workers 4 --channel tdl-a \
+    --doppler 16 --max-harq 3 --harq-ber 0.005
 "$BUILD_DIR"/examples/pusch_sweep --workers 2 --channel tdl-c --doppler 8 \
     --fft 64 --snr 20,30
 "$BUILD_DIR"/bench/bench_scenario_mix --slots 24 > /dev/null
@@ -115,10 +116,11 @@ echo "--- smoke: sharded serving engine + capacity search ---"
 "$BUILD_DIR"/bench/bench_capacity --slots 96 --iters 8 > /dev/null
 # Unknown flags, and unknown names for the serving flags, must exit 2 with
 # the accepted list (the --list convention), not abort, silently fall back
-# or run on defaults; so must a zero shard, server or cell count.
-# pusch_sweep reads none of the serving flags, so it rejects them as
-# unknown; the serving benches reject unknown flags too, and those that
-# read --servers or --shards reject 0 servers or shards.
+# or run on defaults; so must a zero shard, server or cell count and an
+# unknown backend.  pusch_sweep reads none of the serving flags, so it
+# rejects them as unknown; the serving benches reject unknown flags too,
+# and those that read --servers or --shards reject 0 servers or shards.
+# --sim-shards and --pipelined are removed flags.
 expect_exit2() {
   local bin="$1" bad="$2"
   if "$BUILD_DIR"/$bin --slots 1 $bad > /dev/null 2>&1; then
@@ -135,14 +137,15 @@ expect_exit2() {
 for cli in pusch_serve pusch_sweep; do
   for bad in "--placement random" "--overload shed" "--shards 0" \
              "--servers 0" "--cells 0" "--channel rician" "--bogus-flag 7" \
-             "--worker 4" "--sim-shards 2"; do
+             "--worker 4" "--sim-shards 2" "--pipelined" \
+             "--backend bogus"; do
     expect_exit2 examples/$cli "$bad"
   done
 done
 for bench in bench_serve_latency bench_scenario_mix bench_capacity \
              bench_throughput_sweep; do
   for bad in "--bogus-flag 7" "--worker 4" "--servers 0" "--cells 0" \
-             "--shards 0"; do
+             "--shards 0" "--backend bogus"; do
     expect_exit2 bench/$bench "$bad"
   done
 done

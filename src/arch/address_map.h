@@ -81,9 +81,6 @@ class L1_alloc {
   }
 
   uint32_t rows_used() const { return next_row_; }
-  uint64_t words_free() const {
-    return static_cast<uint64_t>(cfg_->bank_words - next_row_) * cfg_->n_banks();
-  }
   void reset() { next_row_ = 0; }
 
   const Address_map& map() const { return map_; }

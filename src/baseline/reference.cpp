@@ -261,14 +261,6 @@ std::vector<cd> lmmse(const std::vector<cd>& h, const std::vector<cd>& y,
   return x;
 }
 
-double mse(const std::vector<cd>& a, const std::vector<cd>& b) {
-  PP_CHECK(a.size() == b.size(), "mse size mismatch");
-  if (a.empty()) return 0.0;
-  double acc = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) acc += std::norm(a[i] - b[i]);
-  return acc / static_cast<double>(a.size());
-}
-
 double sqnr_db(const std::vector<cd>& want, const std::vector<cd>& got) {
   double sig = 0.0, err = 0.0;
   for (size_t i = 0; i < want.size(); ++i) {

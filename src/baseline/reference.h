@@ -137,9 +137,6 @@ void gram_rows(std::span<const cd> a, std::span<cd> g, size_t m,
 
 // ---- error metrics --------------------------------------------------------
 
-// Mean squared error between two complex vectors.
-double mse(const std::vector<cd>& a, const std::vector<cd>& b);
-
 // Signal-to-quantization-noise ratio (dB) of `got` vs reference `want`.
 double sqnr_db(const std::vector<cd>& want, const std::vector<cd>& got);
 

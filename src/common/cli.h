@@ -136,18 +136,6 @@ class Cli {
     }
   }
 
-  // First non-flag positional argument, or fallback.
-  std::string positional(const std::string& fallback) const {
-    for (size_t i = 0; i < args_.size(); ++i) {
-      if (args_[i].rfind("--", 0) == 0) {
-        ++i;  // skip the flag's value
-        continue;
-      }
-      return args_[i];
-    }
-    return fallback;
-  }
-
  private:
   bool is_read(const std::string& name) const {
     return std::find(read_.begin(), read_.end(), name) != read_.end();

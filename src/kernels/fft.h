@@ -60,7 +60,6 @@ class Fft_parallel {
   void set_input(uint32_t inst, uint32_t rep, std::span<const common::cq15> x);
   std::vector<common::cq15> output(uint32_t inst, uint32_t rep) const;
 
-  uint32_t cores_per_gang() const { return geom_.cores(); }
   uint32_t cores_used() const { return n_inst_ * geom_.cores(); }
 
   sim::Kernel_report run();

@@ -1,10 +1,5 @@
-// 5G NR numerology and the paper's use-case constants (§II).
-//
-// 100 MHz bandwidth at 30 kHz sub-carrier spacing gives 3276 active
-// sub-carriers (273 resource blocks of 12), processed with a 4096-point FFT;
-// a slot is 14 OFDM symbols (0.5 ms at numerology 1), of which 2 carry
-// block-type pilots; 64 receive antennas are combined into 32 beams; 1..16
-// UEs share the band.
+// 5G NR numerology (§II): the slot duration of numerology mu, which is the
+// per-slot processing budget every PUSCH slot is scored against.
 #ifndef PUSCHPOOL_PHY_NUMEROLOGY_H
 #define PUSCHPOOL_PHY_NUMEROLOGY_H
 
@@ -13,36 +8,6 @@
 #include "common/check.h"
 
 namespace pp::phy {
-
-struct Numerology {
-  uint32_t scs_khz = 30;        // sub-carrier spacing
-  uint32_t bandwidth_mhz = 100;
-  uint32_t n_symb = 14;         // OFDM symbols per slot
-  uint32_t n_pilot_symb = 2;    // block-type pilot symbols
-
-  // Active sub-carriers: 3GPP TS 38.101 max transmission bandwidth is
-  // 273 RB for 100 MHz @ 30 kHz.
-  uint32_t n_sc() const {
-    PP_CHECK(scs_khz == 30 && bandwidth_mhz == 100,
-             "only the paper's 100 MHz / 30 kHz use-case is tabulated");
-    return 273 * 12;  // 3276
-  }
-  // FFT size: next power of two >= n_sc.
-  uint32_t fft_size() const { return 4096; }
-  uint32_t n_data_symb() const { return n_symb - n_pilot_symb; }
-  // Slot duration at this numerology (mu=1 -> 0.5 ms).
-  double slot_ms() const { return 0.5; }
-};
-
-// Antenna/beam/user dimensions of the evaluated gNB.
-struct Array_config {
-  uint32_t n_rx = 64;    // receive antennas (N_R)
-  uint32_t n_beams = 32; // beams after beamforming (N_B)
-  uint32_t n_ue = 4;     // UEs on the same frequency (N_L)
-};
-
-inline Numerology use_case_numerology() { return Numerology{}; }
-inline Array_config use_case_array() { return Array_config{}; }
 
 // Slot duration of 5G NR numerology mu (sub-carrier spacing 15 kHz * 2^mu):
 // 1 ms / 2^mu.  This is the per-slot processing budget the paper's §II

@@ -7,8 +7,8 @@
 // model (analytic_service_seconds) through the FCFS clock the deadline
 // accounting uses (latency.h: Fcfs_clock) - so the whole verdict
 // stream is a pure function of (jobs, placement, policy, cluster, clock):
-// identical on every backend, for any host worker count, with or without
-// stage pipelining (docs/DETERMINISM.md §8).  On cycle-accurate backends
+// identical on every backend, for any host worker or thread count
+// (docs/DETERMINISM.md §8).  On cycle-accurate backends
 // the predictor is a model of the true (simulated-cycle) service times, not
 // a copy of them - deliberately, since a controller that needed the cycles
 // would have to execute the slot it is deciding about.

@@ -44,9 +44,9 @@ namespace pp::runtime {
 // by Backend::run_back_into().  The double-precision backends fill
 // `beams` in true units; the Q15 backend keeps the beamforming kernel's
 // output as is in `beams_q` (at the beamform stage's rescale), so the slot
-// never leaves Q1.15 between its two halves.  Flat workspace storage: the
-// scheduler's stage pipeline recycles Slot_fronts across slots, so the
-// grids' capacity survives and the steady state allocates nothing.
+// never leaves Q1.15 between its two halves.  Flat workspace storage: a
+// caller that reuses one Slot_front across slots keeps the grids' capacity,
+// so its steady state allocates nothing.
 struct Slot_front {
   common::Ws_grid<phy::cd> beams;
   common::Ws_grid<common::cq15> beams_q;
@@ -64,9 +64,9 @@ class Backend {
   virtual void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                              Slot_result& out) = 0;
 
-  // Stage-split execution, used by runtime::Slot_scheduler to overlap the
-  // front half (FFT + beamforming) of slot n+1 with the back half (CHE, NE,
-  // LMMSE MIMO, demodulation) of slot n.  Contract: run_front_into then
+  // Stage-split execution: the front half (FFT + beamforming) and the back
+  // half (CHE, NE, LMMSE MIMO, demodulation) of a slot as two calls, so
+  // each half can be timed on its own.  Contract: run_front_into then
   // run_back_into on its Slot_front is bit-identical to run_slot_into.
   // Backends that cannot split (the simulator models a whole slot as one
   // launch sequence) keep the default can_split() = false and abort in the

@@ -49,9 +49,9 @@ class Parallel_backend final : public Backend {
 
   void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                      Slot_result& out) override;
-  // Stage-split entry points (scheduler stage pipelining): the same code
-  // paths as run_slot_into(), cut at the beam-grid boundary, so the split
-  // stays bit-identical to the whole slot.
+  // Stage-split entry points: the same code paths as run_slot_into(), cut
+  // at the beam-grid boundary, so the split stays bit-identical to the
+  // whole slot.
   bool can_split() const override { return true; }
   void run_front_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                       Slot_front& out) override;

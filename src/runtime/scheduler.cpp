@@ -3,12 +3,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <numeric>
-#include <optional>
 #include <thread>
 
 #include <algorithm>
@@ -30,88 +27,6 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-// Hand-off between a worker's front and back thread in pipelined mode: a
-// one-deep mailbox.  The front thread hands a slot over only when the
-// mailbox is empty and never waits for it to drain; the back thread takes
-// a waiting slot without blocking, and blocks only once the job stream is
-// exhausted.  A front thread whose stream is exhausted takes back a slot
-// the back thread has not collected.
-struct Front_item {
-  uint64_t index = 0;
-  std::unique_ptr<const phy::Uplink_scenario> sc;
-  Slot_front front;
-  double front_seconds = 0.0;
-};
-
-class Front_mailbox {
- public:
-  // Moves `item` in if the mailbox is empty; otherwise leaves it with the
-  // caller and returns false.
-  bool try_push(Front_item& item) {
-    std::lock_guard<std::mutex> lock(m_);
-    if (item_.has_value()) return false;
-    item_.emplace(std::move(item));
-    cv_.notify_all();
-    return true;
-  }
-
-  void close() {
-    std::lock_guard<std::mutex> lock(m_);
-    closed_ = true;
-    cv_.notify_all();
-  }
-
-  // The waiting item, if any.
-  std::optional<Front_item> try_pop() {
-    std::lock_guard<std::mutex> lock(m_);
-    return take();
-  }
-
-  // Blocks until an item arrives (returned) or the mailbox is closed
-  // empty (nullopt).
-  std::optional<Front_item> pop() {
-    std::unique_lock<std::mutex> lock(m_);
-    cv_.wait(lock, [&] { return item_.has_value() || closed_; });
-    return take();
-  }
-
- private:
-  std::optional<Front_item> take() {
-    std::optional<Front_item> out = std::move(item_);
-    item_.reset();
-    return out;
-  }
-
-  std::mutex m_;
-  std::condition_variable cv_;
-  std::optional<Front_item> item_;
-  bool closed_ = false;
-};
-
-// Recycled Slot_front storage for one front/back thread pair: consumed
-// fronts come back here, so the front thread's next run_front_into()
-// reuses the grown beam grid instead of allocating.  At most three fronts
-// are ever in flight per pair (the front thread's, the mailbox's and the
-// back thread's); the cap is slack on top of that.
-class Front_pool {
- public:
-  Slot_front take() {
-    std::lock_guard<std::mutex> lock(m_);
-    if (items_.empty()) return {};
-    Slot_front f = std::move(items_.back());
-    items_.pop_back();
-    return f;
-  }
-  void put(Slot_front f) {
-    std::lock_guard<std::mutex> lock(m_);
-    if (items_.size() < 4) items_.push_back(std::move(f));
-  }
-
- private:
-  std::mutex m_;
-  std::vector<Slot_front> items_;
-};
 
 // Positions of `jobs` in (arrival, stream index) order: the order every
 // FCFS clock is fed in, by admission and by the deadline accounting alike.
@@ -157,16 +72,11 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
 
   const Pipeline pipeline = uplink_pipeline(opt_.cluster, opt_.uplink);
 
-  // Probe the backend once for the split and cycle-accuracy capabilities
-  // (cheap: intra = 1 spawns no pool threads).
-  bool pipelined = opt_.pipelined && !opt_.virtual_only;
-  bool cycle_accurate = false;
-  {
-    const auto probe = make_backend(opt_.backend, 1);
-    cycle_accurate = probe->cycle_accurate() && !opt_.virtual_only &&
-                     !opt_.analytic_service;
-    pipelined = pipelined && probe->can_split();
-  }
+  // Probe the backend once for cycle accuracy (cheap: intra = 1 spawns no
+  // pool threads).
+  const bool cycle_accurate = make_backend(opt_.backend, 1)->cycle_accurate() &&
+                              !opt_.virtual_only && !opt_.analytic_service;
+  const bool pipelined = opt_.pipelined && !opt_.virtual_only;
 
   // ---- serial pre-pass: resolve and place ------------------------------
   // job(i) is pure and cheap (the expensive scenario construction stays in
@@ -203,7 +113,7 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
 
   // Full per-slot results are retained only when the caller asks for them
   // (keep_slots).  Otherwise the serving loop runs in summary mode - each
-  // worker equalizes into one private reusable Slot_result, folds it into
+  // thread equalizes into one private reusable Slot_result, folds it into
   // its HARQ block if the loop is on, and records only the per-slot scalars
   // the aggregation below needs, so with max_harq = 0 the steady state
   // allocates nothing (a failing HARQ block's combiner state is the
@@ -224,29 +134,26 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
   std::vector<Harq_combiner> blocks(opt_.max_harq > 0 ? n_initial : 0,
                                     Harq_combiner(opt_.harq_ber));
 
-  // Per-worker state persists across rounds: the backends (and the slot
-  // workspaces they grew on round 0), the summary-mode result scratch (one
-  // per worker, one per front thread), and the pipelined mode's front
-  // backends and recycled Slot_front storage.
-  std::vector<std::unique_ptr<Backend>> backends, front_backends;
-  std::vector<Slot_result> scratch, front_scratch;
-  std::vector<std::unique_ptr<Front_pool>> front_pools;
-  std::atomic<uint64_t> handoffs{0};
+  // Per-thread state persists across rounds: the backends (and the slot
+  // workspaces they grew on round 0) and the summary-mode result scratch.
+  std::vector<std::unique_ptr<Backend>> backends;
+  std::vector<Slot_result> scratch;
 
   // Execute jobs[first..jobs.size()) that survived admission - the whole
   // initial stream on round 0, each round's retransmissions afterwards.
   //
-  // Workers pull positions in the admitted stream from the cursor and write
-  // results into their own pre-sized element - no locks, no shared mutable
-  // kernel state (each worker or worker-thread owns a private Backend; the
-  // lazily-built twiddle / QAM tables are call_once-guarded and immutable
-  // afterwards).  Scenarios come from the admission verdict's final config,
-  // so a degraded slot executes its re-planned layer count.  The thread
-  // that finishes a slot also folds it into its HARQ block: a round holds
-  // at most one attempt per block (round 0 one job per block, each later
-  // round one retransmission per block still failing), and the join below
-  // separates rounds, so every combiner sums its attempts in attempt order
-  // without a lock.
+  // Every thread runs one loop: take the next position in the admitted
+  // stream from the cursor and serve that job whole on the thread's private
+  // Backend, writing into the job's own pre-sized element - no locks, no
+  // shared mutable kernel state (the lazily-built twiddle / QAM tables are
+  // call_once-guarded and immutable afterwards).  Scenarios come from the
+  // admission verdict's final config, so a degraded slot executes its
+  // re-planned layer count.  The thread that serves a slot also folds it
+  // into its HARQ block: a round holds at most one attempt per block (round
+  // 0 one job per block, each later round one retransmission per block
+  // still failing), and the join below separates rounds, so every combiner
+  // sums its attempts in attempt order without a lock.  Which thread served
+  // a slot changes nothing but the clock.
   auto execute_batch = [&](uint64_t first) {
     // Compact execution stream: dropped jobs are shed before any backend
     // sees them - that is the point of admission control.  The admitted
@@ -277,28 +184,15 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
       workers = static_cast<uint32_t>(std::max<size_t>(exec.size(), 1));
     }
     if (workers_used == 0) workers_used = workers;
+    // Pipelined, each worker gets a second thread of the same kind.
+    const uint32_t threads = static_cast<uint32_t>(
+        std::min<uint64_t>(pipelined ? 2 * workers : workers, exec.size()));
     std::atomic<uint64_t> cursor{0};
 
-    // Grow the persistent per-worker state (never shrink: a later HARQ
+    // Grow the persistent per-thread state (never shrink: a later HARQ
     // round with fewer jobs still reuses the backends round 0 built).
-    if (backends.size() < workers) backends.resize(workers);
-    if (scratch.size() < workers) scratch.resize(workers);
-    if (pipelined) {
-      if (front_backends.size() < workers) front_backends.resize(workers);
-      if (front_scratch.size() < workers) front_scratch.resize(workers);
-      while (front_pools.size() < workers) {
-        front_pools.push_back(std::make_unique<Front_pool>());
-      }
-    }
-    auto record = [&](uint64_t i, const phy::Uplink_scenario& sc,
-                      const Slot_result& r) {
-      stats[i] = {r.evm, r.ber, r.sigma2_hat, r.total_cycles()};
-      if (!blocks.empty()) blocks[parent[i]].absorb(sc, r);
-    };
-    auto backend_of = [&](std::unique_ptr<Backend>& slot) -> Backend& {
-      if (!slot) slot = make_backend(opt_.backend, opt_.intra);
-      return *slot;
-    };
+    if (backends.size() < threads) backends.resize(threads);
+    if (scratch.size() < threads) scratch.resize(threads);
     // Synthesizes job i's scenario and serves it whole on `backend`.
     auto serve_whole = [&](uint64_t i, Backend& backend, Slot_result& spare) {
       const auto t_synth = Clock::now();
@@ -308,89 +202,25 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
       Slot_result& dst = opt_.keep_slots ? slots[i] : spare;
       pipeline.execute_into(sc, backend, dst);
       wall_service[i] = seconds_since(t0);
-      record(i, sc, dst);
+      stats[i] = {dst.evm, dst.ber, dst.sigma2_hat, dst.total_cycles()};
+      if (!blocks.empty()) blocks[parent[i]].absorb(sc, dst);
     };
-    // Runs the back half of a fronted slot on `backend`.
-    auto finish = [&](Front_item& item, Backend& backend, Slot_result& spare,
-                      Front_pool& pool) {
-      const auto t0 = Clock::now();
-      Slot_result& dst = opt_.keep_slots ? slots[item.index] : spare;
-      backend.run_back_into(pipeline, *item.sc, item.front, dst);
-      wall_service[item.index] = item.front_seconds + seconds_since(t0);
-      record(item.index, *item.sc, dst);
-      pool.put(std::move(item.front));
-    };
-
-    // Each worker is a back thread over a one-deep mailbox, and no thread
-    // waits while another has work.  Pipelined, the worker also gets a
-    // front thread with a private backend: it synthesizes each scenario it
-    // pulls and runs its FFT + beamforming, then hands the slot to the back
-    // thread if the mailbox is empty, or else runs the back half itself.
-    // Once the cursor is drained it takes back a slot still waiting in its
-    // mailbox and finishes it, rather than leave it stranded behind a whole
-    // slot the back thread is serving.  The back thread
-    // equalizes handed slots; when none is waiting it pulls the next job
-    // from the shared cursor and serves it whole.  Unpipelined, the mailbox
-    // is closed before the worker starts, so it serves whole slots until
-    // the stream is drained.  Every result still lands at its job index, so
-    // which thread finished a slot changes nothing but the clock.
-    auto work_front = [&](uint32_t w, Front_mailbox& box) {
-      Backend& backend = backend_of(front_backends[w]);
+    auto work = [&](uint32_t t) {
+      if (!backends[t]) backends[t] = make_backend(opt_.backend, opt_.intra);
       for (;;) {
         const uint64_t p = cursor.fetch_add(1, std::memory_order_relaxed);
         if (p >= exec.size()) break;
-        Front_item item;
-        item.index = exec[p];
-        const auto t_synth = Clock::now();
-        item.sc = std::make_unique<const phy::Uplink_scenario>(
-            verdicts[item.index].cfg);
-        wall_synth[item.index] = seconds_since(t_synth);
-        item.front = front_pools[w]->take();
-        const auto t0 = Clock::now();
-        backend.run_front_into(pipeline, *item.sc, item.front);
-        item.front_seconds = seconds_since(t0);
-        if (!box.try_push(item)) {
-          finish(item, backend, front_scratch[w], *front_pools[w]);
-        }
-      }
-      if (std::optional<Front_item> item = box.try_pop()) {
-        finish(*item, backend, front_scratch[w], *front_pools[w]);
-      }
-      box.close();
-    };
-    auto work_back = [&](uint32_t w, Front_mailbox& box) {
-      Backend& backend = backend_of(backends[w]);
-      for (;;) {
-        std::optional<Front_item> item = box.try_pop();
-        if (!item) {
-          const uint64_t p = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (p < exec.size()) {
-            serve_whole(exec[p], backend, scratch[w]);
-            continue;
-          }
-          item = box.pop();  // the stream is drained: wait for the front
-          if (!item) break;
-        }
-        handoffs.fetch_add(1, std::memory_order_relaxed);
-        finish(*item, backend, scratch[w], *front_pools[w]);
+        serve_whole(exec[p], *backends[t], scratch[t]);
       }
     };
 
     const auto t0 = Clock::now();
     if (!exec.empty() && !opt_.virtual_only) {
-      std::vector<Front_mailbox> boxes(workers);
       std::vector<std::thread> pool;
-      pool.reserve(pipelined ? 2 * workers - 1 : workers - 1);
-      for (uint32_t w = 0; w < workers; ++w) {
-        if (pipelined) {
-          pool.emplace_back([&, w] { work_front(w, boxes[w]); });
-        } else {
-          boxes[w].close();
-        }
-        // The calling thread serves as worker 0.
-        if (w > 0) pool.emplace_back([&, w] { work_back(w, boxes[w]); });
-      }
-      work_back(0, boxes[0]);
+      pool.reserve(threads - 1);
+      // The calling thread serves as thread 0.
+      for (uint32_t t = 1; t < threads; ++t) pool.emplace_back(work, t);
+      work(0);
       for (auto& t : pool) t.join();
     }
     wall_seconds += seconds_since(t0);
@@ -431,7 +261,7 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
     execute_batch(first);
 
     if (opt_.max_harq == 0) break;
-    // Judge the round in stream order: the workers already folded every
+    // Judge the round in stream order: the threads already folded every
     // executed attempt into its block's chase combiner, so record each
     // block's verdict and queue a retransmission for each block still
     // failing with attempts left.  A block whose attempt was dropped by
@@ -517,7 +347,6 @@ Schedule_result Slot_scheduler::run(const Slot_source& src) const {
   out.pipelined = pipelined;
   out.total_slots = n_jobs;
   out.wall_seconds = wall_seconds;
-  out.handoffs = handoffs.load(std::memory_order_relaxed);
   out.shards.resize(n_shards);
 
   out.groups.resize(src.n_groups());
@@ -676,23 +505,17 @@ std::string Schedule_result::str() const {
     }
     shard_table = st.str();
   }
-  char handed[64] = "";
-  if (pipelined) {
-    std::snprintf(handed, sizeof handed, ", %llu hand-off%s",
-                  static_cast<unsigned long long>(handoffs),
-                  handoffs == 1 ? "" : "s");
-  }
   char footer[512];
   std::snprintf(
       footer, sizeof footer,
       "%llu slots from '%s' on the %s backend, %u worker%s%s: %.3f s wall, "
-      "%.1f slots/s, synthesis p50 %.1f us%s\nvirtual clock: makespan %.3f "
+      "%.1f slots/s, synthesis p50 %.1f us\nvirtual clock: makespan %.3f "
       "ms, latency p50/p99/p999 %.1f/%.1f/%.1f us, %llu/%llu deadline "
       "misses\n",
       static_cast<unsigned long long>(total_slots), source.c_str(),
       backend.c_str(), workers, workers == 1 ? "" : "s",
-      pipelined ? " (stage-pipelined)" : "", wall_seconds, slots_per_second(),
-      1e6 * wall_synth.percentile(0.50), handed, 1e3 * virtual_makespan_s,
+      pipelined ? " (two threads each)" : "", wall_seconds, slots_per_second(),
+      1e6 * wall_synth.percentile(0.50), 1e3 * virtual_makespan_s,
       1e6 * latency.percentile(0.50), 1e6 * latency.percentile(0.99),
       1e6 * latency.percentile(0.999),
       static_cast<unsigned long long>(deadline_misses),

@@ -10,23 +10,16 @@
 //                     adapts the batch scenario grid; Traffic_source
 //                     (traffic.h) generates stochastic multi-cell uplink
 //                     traffic with Poisson arrivals.
-//   Slot_scheduler    a worker pool pulling job indices from an atomic
-//                     cursor, one private Backend per worker.  Each round's
+//   Slot_scheduler    a pool of serving threads pulling job indices from
+//                     an atomic cursor, one private Backend per thread;
+//                     each thread synthesizes and serves whole slots until
+//                     the round's stream is drained.  Each round's
 //                     admitted jobs are dispatched longest-predicted-first
 //                     (analytic_service_seconds of the admitted config,
 //                     ties in index order), so the largest slots start
 //                     together and the short ones fill in behind them.
-//                     Optionally stage-pipelined: each worker becomes a
-//                     front thread (synthesis, OFDM FFT + beamforming of
-//                     slot n+1) and a back thread (CHE/NE/LMMSE MIMO of
-//                     slot n) connected by a one-deep mailbox.  Neither
-//                     thread idles while there is work: the front thread
-//                     finishes its own slot when the mailbox is full, the
-//                     back thread serves whole slots from the cursor when
-//                     it is empty, and a front thread whose cursor is
-//                     drained takes back a slot still waiting in its
-//                     mailbox and finishes it.  Composes with the
-//                     "parallel" backend's intra-slot split.
+//                     Composes with the "parallel" and "fixed" backends'
+//                     intra-slot split.
 //   sharding          the serving engine runs as `shards` scheduler shards,
 //                     each owning one virtual cluster's worth of service
 //                     units and its own FCFS virtual-clock queue.  Source
@@ -53,9 +46,9 @@
 // in index order, and the virtual clocks are independent of host scheduling -
 // so the slot results, group/shard roll-ups, admission counters, latency
 // histograms and deadline-miss counts are bit-identical for any
-// (workers, intra) combination, with stage pipelining on or off, on every
-// backend.  Wall-clock throughput and the measured per-slot service
-// histogram are the only host-dependent outputs.
+// (workers, pipelined, intra) combination on every backend.  Wall-clock
+// throughput and the measured per-slot service histogram are the only
+// host-dependent outputs.
 #ifndef PUSCHPOOL_RUNTIME_SCHEDULER_H
 #define PUSCHPOOL_RUNTIME_SCHEDULER_H
 
@@ -95,11 +88,9 @@ struct Scheduler_options {
   uint32_t workers = 0;  // slot-level workers; 0 = hardware_concurrency
   std::string backend = "reference";  // make_backend() name
   uint32_t intra = 1;    // intra-slot workers ("parallel" and "fixed")
-  // Stage-pipelined execution: overlap the front half of slot n+1 with the
-  // back half of slot n (2 threads per worker, one-deep mailbox hand-off;
-  // each thread serves whole slots while the other has none to give it).
-  // Silently ignored when the backend cannot split (Backend::can_split());
-  // the effective setting is reported in Schedule_result::pipelined.
+  // Two whole-slot threads per worker instead of one: the same as doubling
+  // `workers`.  Reported in Schedule_result::pipelined (false under
+  // virtual_only, which runs no thread).
   bool pipelined = false;
   arch::Cluster_config cluster = arch::Cluster_config::minipool();
   Uplink_options uplink;   // preset knobs (FFT gangs, Cholesky batching)
@@ -224,25 +215,21 @@ struct Schedule_result : Serving_counters {
   double virtual_makespan_s = 0.0;  // last completion on any shard's clock
 
   // Host-dependent surface, recorded for every executed slot (none under
-  // virtual_only): backend execution time (front + back when pipelined),
-  // the scenario construction before it, and the wall clock of the
-  // parallel execution phase, which includes each attempt's HARQ fold on
-  // the worker that decoded it - the serial admission, HARQ judge and
-  // aggregation passes run outside wall_seconds.
+  // virtual_only): backend execution time, the scenario construction
+  // before it, and the wall clock of the parallel execution phase, which
+  // includes each attempt's HARQ fold on the thread that decoded it - the
+  // serial admission, HARQ judge and aggregation passes run outside
+  // wall_seconds.
   Latency_histogram wall_service;
   Latency_histogram wall_synth;
   double wall_seconds = 0.0;
-  // Executed slots that crossed the front->back mailbox, counted when the
-  // back thread takes one (0 unless pipelined); the rest, a slot its front
-  // thread took back included, ran whole on one thread of their pair.
-  uint64_t handoffs = 0;
 
   std::string source;
   std::string backend;
   std::string placement;  // effective placement policy name
   std::string overload;   // effective overload policy name
   uint32_t workers = 0;
-  bool pipelined = false;  // effective setting (false if backend can't split)
+  bool pipelined = false;  // effective setting (false under virtual_only)
   uint64_t total_slots = 0;
   uint64_t total_cycles = 0;
 
@@ -253,17 +240,12 @@ struct Schedule_result : Serving_counters {
                ? static_cast<double>(total_slots - dropped) / wall_seconds
                : 0.0;
   }
-  double miss_rate() const {
-    return deadline_slots
-               ? static_cast<double>(deadline_misses) / deadline_slots
-               : 0.0;
-  }
 
   // Whole-surface equality of everything the determinism contract covers
   // (groups, shards, admission counters, latency histograms, deadline
   // counters, virtual makespan, cycle/slot totals) - deliberately excluding
   // the host-dependent fields (wall clock, wall-service and wall-synth
-  // histograms, hand-offs, workers, pipelined).  This is the single
+  // histograms, workers, pipelined).  This is the single
   // definition the worker-invariance re-checks use (bench_serve_latency,
   // tests/test_scheduler.cpp), so a new deterministic field only needs
   // adding here.

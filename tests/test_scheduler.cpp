@@ -5,7 +5,7 @@
 //     Pipeline::execute loop at any worker count;
 //   - a fixed-seed Traffic_source run produces identical aggregate reports
 //     (slot results, latency histograms, deadline-miss counts) at any
-//     worker count and with stage pipelining on or off;
+//     worker count, with one or two serving threads per worker;
 //   - the stage-split backend entry points (run_front_into +
 //     run_back_into) are bit-identical to run_slot_into on the host
 //     backends.
@@ -163,9 +163,9 @@ TEST(Scheduler, SimBackendDeadlineAccountingWorkerInvariant) {
   opt.workers = 1;
   const auto serial = Slot_scheduler(opt).run(src);
   opt.workers = 2;
-  opt.pipelined = true;  // must silently fall back: sim cannot split
+  opt.pipelined = true;  // two whole-slot threads per worker on every backend
   const auto parallel = Slot_scheduler(opt).run(src);
-  EXPECT_FALSE(parallel.pipelined);
+  EXPECT_TRUE(parallel.pipelined);
   EXPECT_GT(serial.total_cycles, 0u);
   expect_slots_identical(parallel.slots, serial.slots);
   expect_aggregates_identical(parallel, serial);
@@ -173,7 +173,7 @@ TEST(Scheduler, SimBackendDeadlineAccountingWorkerInvariant) {
 
 TEST(Scheduler, SplitBackendsMatchRunSlot) {
   // run_back_into(run_front_into()) == run_slot_into on the host backends
-  // - the bit contract stage pipelining rests on.
+  // - the split contract the per-half timing probes rest on.
   const auto cluster = arch::Cluster_config::minipool();
   const auto pipeline = runtime::uplink_pipeline(cluster, {});
   const phy::Uplink_scenario sc(
@@ -418,7 +418,7 @@ TEST(Scheduler, DropPolicyShedsWithoutExecuting) {
 TEST(Scheduler, ServedRateAndSynthesisTimesCountExecutedSlotsOnly) {
   // Dropped jobs never run: slots_per_second() counts executed slots over
   // the parallel phase, and wall_synth / wall_service hold one entry per
-  // executed slot, whole-slot or stage-pipelined.
+  // executed slot, with one or two serving threads per worker.
   const Traffic_source src(serving_traffic());
   Scheduler_options opt;
   opt.workers = 2;
@@ -433,25 +433,16 @@ TEST(Scheduler, ServedRateAndSynthesisTimesCountExecutedSlotsOnly) {
     EXPECT_EQ(res.wall_synth.count(), executed);
     EXPECT_EQ(res.wall_service.count(), executed);
     EXPECT_GT(res.wall_synth.max_recorded(), 0.0);
-    // Only pipelined runs hand slots from a front to a back thread, and at
-    // most once per executed slot; the footer reports the count then.
-    if (pipelined) {
-      EXPECT_LE(res.handoffs, executed);
-    } else {
-      EXPECT_EQ(res.handoffs, 0u);
-    }
-    EXPECT_EQ(res.str().find(" hand-off") != std::string::npos, pipelined);
   }
 }
 
 TEST(Scheduler, WorkConservingPipelineMatchesWholeSlotServing) {
   // Cheap flat 64-point slots mixed with 256-point TDL-A slots whose
-  // synthesis dominates: the back thread of a pair idles behind its front
-  // thread and serves whole slots from the cursor, and a front thread that
-  // finds the mailbox full runs the back half itself.  Which thread ends up
-  // finishing a slot varies from run to run; the results must not.  Drop
-  // admission and one HARQ round put both an admission-thinned stream and
-  // a short retransmission round through the pairs.
+  // synthesis dominates, served by two whole-slot threads per worker.
+  // Which thread ends up serving a slot varies from run to run; the results
+  // must not.  Drop admission and one HARQ round put both an
+  // admission-thinned stream and a short retransmission round through the
+  // threads.
   Traffic_config cfg;
   cfg.n_slots = 24;
   cfg.base_seed = 5;
@@ -493,7 +484,6 @@ TEST(Scheduler, WorkConservingPipelineMatchesWholeSlotServing) {
       expect_slots_identical(res.slots, whole.slots);
       EXPECT_TRUE(res.deterministic_equal(whole))
           << workers << " workers, run " << run;
-      EXPECT_LE(res.handoffs, res.total_slots - res.dropped);
     }
   }
 }
