@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   auto rep = bench::make_report("bench_capacity", "[§II]",
                                 "max sustained load holding p99 in budget");
 
-  const uint64_t n_slots = cli.get_u32("--slots", 160);
+  const uint64_t n_slots = bench::slots_from_cli(cli, 160);
   const uint64_t seed = cli.get_u32("--seed", 1);
   const uint32_t iters = cli.get_u32("--iters", 12);
   const double max_scale = bench::positive_from_cli(cli, "--max-scale", 8.0);

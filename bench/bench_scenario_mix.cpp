@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
                                 "fading scenario mixes + HARQ loop");
 
   runtime::Traffic_config traffic;
-  traffic.n_slots = cli.get_u32("--slots", 48);
+  traffic.n_slots = bench::slots_from_cli(cli, 48);
   traffic.base_seed = cli.get_u32("--seed", 1);
   const double doppler = cli.get_double("--doppler", 6.0);
   const double snr = cli.get_double("--snr", 30.0);

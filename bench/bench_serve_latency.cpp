@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
                                 "streaming slot latency vs. slot budget");
 
   runtime::Traffic_config traffic;
-  traffic.n_slots = cli.get_u32("--slots", 24);
+  traffic.n_slots = bench::slots_from_cli(cli, 24);
   traffic.base_seed = cli.get_u32("--seed", 1);
   const double load = bench::positive_from_cli(cli, "--load", 0.9);
   runtime::Traffic_cell cell0;  // mu=1: 500 us budget

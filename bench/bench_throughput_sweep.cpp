@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   for (uint32_t i = 0; i < snr_points; ++i) {
     grid.snr_db.push_back(10.0 + 5.0 * i);
   }
-  grid.slots_per_point = cli.get_u32("--slots", 2);
+  grid.slots_per_point = bench::slots_from_cli(cli, 2);
 
   runtime::Scheduler_options opt;
   opt.backend = bench::backend_from_cli(cli);

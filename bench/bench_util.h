@@ -174,6 +174,18 @@ inline uint32_t servers_from_cli(const common::Cli& cli) {
   return n;
 }
 
+// Slot count (--slots, default `fallback`).  0 prints the reason and exits
+// 2 instead of running an empty window whose per-slot figures divide by
+// zero.
+inline uint32_t slots_from_cli(const common::Cli& cli, uint32_t fallback) {
+  const uint32_t n = cli.get_u32("--slots", fallback);
+  if (n == 0) {
+    std::fprintf(stderr, "need at least one slot for --slots\n");
+    std::exit(2);
+  }
+  return n;
+}
+
 // A positive double flag (`flag`, default `fallback`).  Zero, a negative
 // value or NaN prints the reason and exits 2 instead of running on it.
 inline double positive_from_cli(const common::Cli& cli, const char* flag,

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   }
 
   runtime::Traffic_config traffic;
-  traffic.n_slots = cli.get_u32("--slots", 64);
+  traffic.n_slots = bench::slots_from_cli(cli, 64);
   traffic.base_seed = cli.get_u32("--seed", 1);
   traffic.n_rx = cli.get_u32("--rx", 4);
   traffic.n_beams = cli.get_u32("--beams", 4);

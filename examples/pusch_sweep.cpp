@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
     grid.qam_orders.push_back(bench::qam_from_order(order));
   }
   grid.snr_db = parse_snr_list(cli.get("--snr", "10:30:5"));
-  grid.slots_per_point = cli.get_u32("--slots", 1);
+  grid.slots_per_point = bench::slots_from_cli(cli, 1);
   grid.n_rx = cli.get_u32("--rx", 4);
   grid.n_beams = cli.get_u32("--beams", 4);
   grid.n_symb = cli.get_u32("--symb", 4);

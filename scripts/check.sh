@@ -33,6 +33,17 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error -j "$JOBS"
 
+echo "--- the normal transform calls no libm function ---"
+# Every noise and fading draw goes through src/common/rng.cpp; its object
+# must import none of log, exp, sin, cos or pow (docs/DETERMINISM.md
+# section 1), so the draws are the same bits on any libm.
+rng_obj="$BUILD_DIR/CMakeFiles/puschpool.dir/src/common/rng.cpp.o"
+if nm -u "$rng_obj" | grep -E ' (log|exp|sin|cos|sincos|pow)[fl]?(@.*)?$'; then
+  echo "$rng_obj imports a libm function"
+  exit 1
+fi
+echo "rng.cpp.o imports no log/exp/sin/cos/pow"
+
 echo "--- markdown link check: README.md + docs/ ---"
 # Every relative [text](path) link must resolve against the linking file's
 # own directory - GitHub's rendering rule (anchors and external
@@ -149,6 +160,32 @@ for bench in bench_serve_latency bench_scenario_mix bench_capacity \
     expect_exit2 bench/$bench "$bad"
   done
 done
+# A zero slot count exits 2 too.  expect_exit2 prepends --slots 1 and the
+# first match wins, so these tools are called directly.
+for bin in examples/pusch_serve examples/pusch_sweep bench/bench_serve_latency \
+           bench/bench_scenario_mix bench/bench_capacity \
+           bench/bench_throughput_sweep; do
+  status=0
+  "$BUILD_DIR"/$bin --slots 0 > /dev/null 2>&1 || status=$?
+  if [[ "$status" -ne 2 ]]; then
+    echo "$bin exited $status (want 2) for: --slots 0"
+    exit 1
+  fi
+done
+# --help prints the accepted flags and exits 0 on every CLI that rejects
+# unknown flags.
+for bin in examples/pusch_serve examples/pusch_sweep examples/pusch_uplink_e2e \
+           bench/bench_serve_latency bench/bench_scenario_mix \
+           bench/bench_capacity bench/bench_throughput_sweep; do
+  help_out="$("$BUILD_DIR"/$bin --help)" || {
+    echo "$bin --help exited non-zero"
+    exit 1
+  }
+  if ! grep -q '^accepted flags:.* --backend .*--help$' <<< "$help_out"; then
+    echo "$bin --help did not print its accepted flags"
+    exit 1
+  fi
+done
 # pusch_uplink_e2e rejects --slots as an unknown flag, so it is called
 # directly: an unsupported QAM order, and a Cholesky batch that does not
 # divide the slot's 4 data symbols.
@@ -221,7 +258,9 @@ echo "steady-state serving loop allocates nothing after warm-up"
 echo "--- ASan+UBSan build of the receive-chain, serving-engine, Q15 and simulator suites ---"
 # Separate build tree with the address and undefined-behaviour sanitizers:
 # the receive chain on every backend (phy, pipeline, workspace, parallel,
-# fixed, sim chain), the channel profiles and traffic source, the serving
+# fixed, sim chain), the random-number generator and its normal transform
+# (bit casts, shifts and integer-double conversions), the channel profiles
+# and traffic source, the serving
 # engine (scheduler, admission, latency clock, placement, grid sweeps,
 # HARQ, the HARQ fuzz and the cross-backend scenario parity; with
 # _GLIBCXX_ASSERTIONS an unchecked group or shard index aborts here even
@@ -241,8 +280,9 @@ cmake -B "$ASAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
 cmake --build "$ASAN_DIR" -j "$JOBS" \
-  --target test_phy test_pipeline test_workspace test_backend_parallel \
-           test_backend_fixed test_sim_chain test_scheduler test_sweep \
+  --target test_phy test_rng test_pipeline test_workspace \
+           test_backend_parallel test_backend_fixed test_sim_chain \
+           test_scheduler test_sweep \
            test_admission test_latency test_placement test_harq \
            test_harq_fuzz test_scenario_parity test_fixed_point test_fft \
            test_mmm test_cholesky test_che_ne test_gram \

@@ -3,7 +3,8 @@
 //
 // Every getter records the flag name it was asked about, so a program that
 // has read all of its flags can reject_unknown() the rest - a mistyped
-// `--worker 4` exits 2 instead of running on defaults.
+// `--worker 4` exits 2 instead of running on defaults, and `--help` lists
+// them.
 #ifndef PUSCHPOOL_COMMON_CLI_H
 #define PUSCHPOOL_COMMON_CLI_H
 
@@ -125,8 +126,16 @@ class Cli {
   }
 
   // Prints the first "--flag" argument no getter was asked about, with the
-  // flags that were, and exits 2.  Call once every flag has been read.
+  // flags that were, and exits 2; `--help` instead prints the flags that
+  // were asked about to stdout and exits 0.  Call once every flag has been
+  // read.
   void reject_unknown() const {
+    if (std::find(args_.begin(), args_.end(), "--help") != args_.end()) {
+      std::printf("accepted flags:");
+      for (const auto& f : read_) std::printf(" %s", f.c_str());
+      std::printf(" --help\n");
+      std::exit(0);
+    }
     for (const auto& a : args_) {
       if (a.rfind("--", 0) != 0 || is_read(a)) continue;
       std::fprintf(stderr, "unknown flag %s; accepted:", a.c_str());

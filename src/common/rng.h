@@ -1,12 +1,29 @@
-// Deterministic PRNG (xoshiro128++) plus the distributions the PHY substrate
-// needs (uniform, standard normal via Box-Muller).  Everything in puschpool
-// that needs randomness takes an explicit seeded Rng so runs are repeatable.
+// Deterministic randomness for puschpool: a seeded PRNG (xoshiro128++) for
+// sequential draws, the SplitMix64 stream derivation (derive_seed), and one
+// normal transform shared by both.
+//
+// The transform (cnormal_of) maps one 64-bit word to a circularly-symmetric
+// complex normal: Box-Muller on the word's two 32-bit halves, keeping both
+// the cosine and the sine half, with log and sin/cos evaluated as fixed
+// polynomials in +, -, x, / and sqrt (src/common/rng.cpp, compiled without
+// FP contraction).  Every operation is correctly rounded IEEE-754, so a draw
+// is the same bits on any host and any libm (docs/DETERMINISM.md section 1).
+//
+// Two ways to feed it:
+//   Rng::cnormal()/normal()  the Rng's next 64 bits - sequential callers
+//                            (TDL taps, flat coefficients, kernel stimulus);
+//   Normal_stream            counter-addressed: sample i of stream key k is
+//                            cnormal_of(derive_seed(k, i)), a pure function
+//                            of (k, i), so draws need no order and run four
+//                            per AVX2 vector (the scenario's noise).
+// Everything in puschpool that needs randomness takes an explicit seed.
 #ifndef PUSCHPOOL_COMMON_RNG_H
 #define PUSCHPOOL_COMMON_RNG_H
 
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <span>
 
 namespace pp::common {
 
@@ -37,6 +54,12 @@ class Rng {
     return result;
   }
 
+  // Two draws, the first one in the high half.
+  uint64_t next_u64() {
+    const uint64_t hi = next_u32();
+    return hi << 32 | next_u32();
+  }
+
   // Uniform in [0, 1).
   double uniform() { return next_u32() * 0x1p-32; }
 
@@ -58,18 +81,18 @@ class Rng {
     return static_cast<uint32_t>(m >> 32);
   }
 
-  // Standard normal N(0,1) via Box-Muller.
-  double normal() {
-    double u1 = uniform();
-    if (u1 < 1e-12) u1 = 1e-12;
-    const double u2 = uniform();
-    return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-  }
+  // Circularly-symmetric complex normal with E[|z|^2] = 1 of one 64-bit
+  // word: radius sqrt(-ln u) with u = (hi + 1/2) 2^-32, angle
+  // 2 pi (lo + 1/2) 2^-32, where hi and lo are the word's 32-bit halves.
+  // |z| reaches sqrt(33 ln 2) = 4.78, i.e. each part 6.76 standard
+  // deviations.  No libm call.
+  static std::complex<double> cnormal_of(uint64_t bits);
 
-  // Circularly-symmetric complex normal with E[|z|^2] = 1.
-  std::complex<double> cnormal() {
-    return {normal() * M_SQRT1_2, normal() * M_SQRT1_2};
-  }
+  // The transform of the next 64 bits.
+  std::complex<double> cnormal() { return cnormal_of(next_u64()); }
+
+  // Standard normal N(0,1): the real half of cnormal(), rescaled.
+  double normal() { return cnormal().real() * M_SQRT2; }
 
   // Deterministic per-stream seed derivation: SplitMix64 over
   // base + (stream + 1) * golden-gamma.  Streams of the same base are
@@ -86,6 +109,27 @@ class Rng {
  private:
   static uint32_t rotl(uint32_t x, int k) { return (x << k) | (x >> (32 - k)); }
   uint32_t state_[4] = {};
+};
+
+// Counter-addressed complex normals: sample i of the stream is
+// Rng::cnormal_of(Rng::derive_seed(key, i)).
+class Normal_stream {
+ public:
+  explicit Normal_stream(uint64_t key) : key_(key) {}
+
+  std::complex<double> at(uint64_t i) const {
+    return Rng::cnormal_of(Rng::derive_seed(key_, i));
+  }
+
+  // out[j] += amp * at(first + j) for every j, as (re + amp * z.re,
+  // im + amp * z.im): four samples per AVX2 vector on hosts that have it
+  // (compiled without FMA, chosen at run time), plain doubles for the tail
+  // and elsewhere - the same bits either way.
+  void add(uint64_t first, double amp,
+           std::span<std::complex<double>> out) const;
+
+ private:
+  uint64_t key_;
 };
 
 }  // namespace pp::common

@@ -82,13 +82,14 @@ constexpr Raw_tap kTdlC[] = {
     {6.3065, -16.0}, {6.6374, -15.7}, {7.0427, -21.6}, {8.6523, -22.8},
 };
 
-// One TDL row on sub-carriers [sc0, n_sc): out[sc] = sum_t g_t phase_t[sc]
-// with g_t = g[t * g_stride] and tap t's ramp in split rows of `phase`
-// (channel.h).  Sub-carrier blocks on stack accumulators: each element
-// starts from +0 and adds the taps in table order - the per-element sum's
-// exact sequence - while the block loop vectorizes.
-void row_scalar(const cd* g, size_t g_stride, uint32_t n_taps,
-                const double* phase, uint32_t n_sc, uint32_t sc0, cd* out) {
+}  // namespace
+
+// Sub-carrier blocks on stack accumulators: each element starts from +0 and
+// adds the taps in table order - the per-element sum's exact sequence -
+// while the block loop vectorizes.
+void tdl_row_scalar(const cd* g, size_t g_stride, uint32_t n_taps,
+                    const double* phase, uint32_t n_sc, uint32_t sc0,
+                    cd* out) {
   constexpr uint32_t kBlock = 256;
   for (; sc0 < n_sc; sc0 += kBlock) {
     const uint32_t n = std::min(kBlock, n_sc - sc0);
@@ -108,16 +109,17 @@ void row_scalar(const cd* g, size_t g_stride, uint32_t n_taps,
 
 #if defined(PP_PHY_X86)
 
+namespace {
+
 bool avx2_supported() {
   static const bool ok = __builtin_cpu_supports("avx2");
   return ok;
 }
 
-// row_scalar's sum on 16 sub-carriers at a time, four per AVX2 vector: the
-// block's real and imaginary accumulators stay in registers across every
-// tap.  Compiled for AVX2 without FMA, so each product and sum rounds
-// exactly as in row_scalar.  Returns the sub-carriers done, a multiple of
-// 16; row_scalar finishes the rest.
+// tdl_row_scalar's sum on 16 sub-carriers at a time, four per AVX2 vector:
+// the block's real and imaginary accumulators stay in registers across
+// every tap.  Compiled for AVX2 without FMA, so each product and sum rounds
+// exactly as in tdl_row_scalar.
 __attribute__((target("avx2"))) uint32_t row_avx2(const cd* g,
                                                   size_t g_stride,
                                                   uint32_t n_taps,
@@ -158,9 +160,19 @@ __attribute__((target("avx2"))) uint32_t row_avx2(const cd* g,
   return done;
 }
 
+}  // namespace
+
 #endif
 
-}  // namespace
+uint32_t tdl_row_avx2(const cd* g, size_t g_stride, uint32_t n_taps,
+                      const double* phase, uint32_t n_sc, cd* out) {
+#if defined(PP_PHY_X86)
+  if (avx2_supported()) return row_avx2(g, g_stride, n_taps, phase, n_sc, out);
+#else
+  (void)g, (void)g_stride, (void)n_taps, (void)phase, (void)n_sc, (void)out;
+#endif
+  return 0;
+}
 
 const std::vector<Tdl_tap>& tdl_taps(Channel_profile profile) {
   static const std::vector<Tdl_tap> a =
@@ -269,14 +281,10 @@ void Channel::row_into(uint32_t s, uint32_t r, uint32_t l,
   }
   const cd* g = &taps_[tap_offset(s, 0, r, l)];
   const size_t g_stride = tap_offset(0, 1, 0, 0);
-  uint32_t sc0 = 0;
-#if defined(PP_PHY_X86)
-  if (avx2_supported()) {
-    sc0 = row_avx2(g, g_stride, n_taps_, phase_.data(), cfg_.n_sc,
-                   out.data());
-  }
-#endif
-  row_scalar(g, g_stride, n_taps_, phase_.data(), cfg_.n_sc, sc0, out.data());
+  const uint32_t sc0 =
+      tdl_row_avx2(g, g_stride, n_taps_, phase_.data(), cfg_.n_sc, out.data());
+  tdl_row_scalar(g, g_stride, n_taps_, phase_.data(), cfg_.n_sc, sc0,
+                 out.data());
 }
 
 cd Channel::tap_gain(uint32_t s, uint32_t t, uint32_t r, uint32_t l) const {

@@ -5,8 +5,8 @@
 //
 // Profiles (channel_profile_names(), selectable per cell via --channel):
 //   flat    per-sub-carrier Rayleigh block fading, constant over the slot -
-//           the original model, drawn from the caller's RNG in the legacy
-//           order so pre-profile scenarios stay bit-for-bit identical.
+//           the original model, one Rng::cnormal() per (block, antenna,
+//           UE) from the caller's RNG, in that order.
 //   tdl-a   3GPP TR 38.901 TDL-A tapped-delay-line fading (23 taps, NLOS).
 //   tdl-c   3GPP TR 38.901 TDL-C tapped-delay-line fading (24 taps, NLOS).
 //
@@ -145,6 +145,20 @@ inline void cmac_split(cd g, const cd* x, double* acc_re, double* acc_im,
     acc_im[i] += gr * xi + gi * xr;
   }
 }
+
+// The two kernels behind Channel::row_into's TDL sum, declared so a test
+// can pin them against each other.  Both compute out[sc] = sum_t g_t
+// phase_t[sc] with g_t = g[t * g_stride] and tap t's ramp in the split rows
+// of `phase` (re at 2 t n_sc, im right after), every element starting from
+// +0 and adding the taps in table order with (ac - bd, ad + bc) products.
+// tdl_row_scalar covers sub-carriers [sc0, n_sc) in plain doubles;
+// tdl_row_avx2 covers the prefix of whole 16-sub-carrier blocks, four per
+// AVX2 vector without FMA, and returns its length (0 on hosts without AVX2).
+void tdl_row_scalar(const cd* g, size_t g_stride, uint32_t n_taps,
+                    const double* phase, uint32_t n_sc, uint32_t sc0,
+                    cd* out);
+uint32_t tdl_row_avx2(const cd* g, size_t g_stride, uint32_t n_taps,
+                      const double* phase, uint32_t n_sc, cd* out);
 
 // Orthonormal DFT beamforming codebook: n_rx x n_beams, column b is the
 // steering vector exp(-j 2 pi r b / n_rx) / sqrt(n_rx).

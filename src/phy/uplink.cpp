@@ -23,6 +23,15 @@ Uplink_config degrade_to_layers(const Uplink_config& cfg, uint32_t n_ue) {
 
 namespace {
 
+// Root of everything HARQ attempt k re-realizes: the slot seed on attempt 0,
+// derive_seed(seed, kHarqStream + k) after it.
+uint64_t attempt_seed(const Uplink_config& cfg) {
+  return cfg.harq_attempt > 0
+             ? common::Rng::derive_seed(cfg.seed,
+                                        kHarqStream + cfg.harq_attempt)
+             : cfg.seed;
+}
+
 Channel_config scenario_channel_config(const Uplink_config& cfg) {
   Channel_config c;
   c.n_sc = cfg.n_sc;
@@ -39,9 +48,7 @@ Channel_config scenario_channel_config(const Uplink_config& cfg) {
   // TDL tap streams re-realize per HARQ attempt directly through the seed;
   // the flat profile draws from a caller RNG instead, so its attempt > 0
   // rebuild happens in the scenario body (after burning the legacy draws).
-  c.seed = cfg.harq_attempt > 0 ? common::Rng::derive_seed(
-                                      cfg.seed, kHarqStream + cfg.harq_attempt)
-                                : cfg.seed;
+  c.seed = attempt_seed(cfg);
   return c;
 }
 
@@ -89,29 +96,33 @@ Uplink_scenario::Uplink_scenario(const Uplink_config& cfg)
 
   // HARQ attempt k > 0: the payload above came from the same rng_ positions
   // as attempt 0 (the flat channel burned its legacy draws in the init
-  // list), so bits and pilots are identical; the channel and every noise
-  // draw below re-realize from the attempt's derived stream instead.
-  common::Rng harq_rng(
-      common::Rng::derive_seed(cfg_.seed, kHarqStream + cfg_.harq_attempt));
+  // list), so bits and pilots are identical; the channel and both noise
+  // streams below re-realize from the attempt's seed instead.
+  const uint64_t root = attempt_seed(cfg_);
   if (cfg_.harq_attempt > 0 && cfg_.profile == Channel_profile::flat) {
+    common::Rng harq_rng(root);
     chan_ = Channel(scenario_channel_config(cfg_), harq_rng);
   }
-  common::Rng& noise_rng = cfg_.harq_attempt > 0 ? harq_rng : rng_;
+  // Noise is counter-addressed: antenna sample (s, r, sc) is sample
+  // (s n_rx + r) n_sc + sc of its stream and pilot-observation entry
+  // (l, sc, b) sample (l n_sc + sc) n_beams + b of its own, so no draw
+  // depends on the order the passes below run in.
+  const common::Normal_stream antenna_noise(
+      common::Rng::derive_seed(root, kAntennaNoiseStream));
+  const common::Normal_stream pilot_noise(
+      common::Rng::derive_seed(root, kPilotNoiseStream));
 
   // Channel + OFDM modulation to time domain, one symbol at a time.  The
   // symbol's channel rows are built once into `rows` and feed both the
   // per-antenna pass and, on the symbols beam_channel() averages, the beam
   // channel the pilot observations below measure.  The antenna pass writes
   // straight into that antenna's sample row: each bin starts from +0, adds
-  // the UE products in index order, then its noise - drawn for the whole
-  // symbol first, in the legacy (sc, r) stream order - and the row is
+  // the UE products in index order, then its noise, and the row is
   // inverse-transformed in place (docs/DETERMINISM.md §9 rule 5).
   const double noise_amp = std::sqrt(cfg_.sigma2);
   // Normalize so time samples keep Q15 headroom; the receiver's 1/N FFT
   // scaling plus this factor is undone in the beamforming stage.
   const double time_norm = std::sqrt(static_cast<double>(cfg_.fft_size));
-  // One symbol's noise, [r][sc].
-  std::vector<cd> noise(static_cast<size_t>(cfg_.n_rx) * cfg_.n_sc);
   std::vector<cd> rows, h_eff, h_symb;
   time_.resize(cfg_.n_symb);
   for (uint32_t s = 0; s < cfg_.n_symb; ++s) {
@@ -120,12 +131,6 @@ Uplink_scenario::Uplink_scenario(const Uplink_config& cfg)
       channel_rows_into(s, rows);
     }
     if (s < n_mean_symbols()) fold_beam_channel(s, rows, h_eff, h_symb);
-    for (uint32_t sc = 0; sc < cfg_.n_sc; ++sc) {
-      for (uint32_t r = 0; r < cfg_.n_rx; ++r) {
-        noise[static_cast<size_t>(r) * cfg_.n_sc + sc] =
-            noise_rng.cnormal() * noise_amp;
-      }
-    }
     time_[s].resize(cfg_.n_rx);
     for (uint32_t r = 0; r < cfg_.n_rx; ++r) {
       std::vector<cd>& y = time_[s][r];
@@ -143,27 +148,28 @@ Uplink_scenario::Uplink_scenario(const Uplink_config& cfg)
           ys[2 * sc + 1] += hr * xi + hi * xr;
         }
       }
-      const cd* nr = noise.data() + static_cast<size_t>(r) * cfg_.n_sc;
-      for (uint32_t sc = 0; sc < cfg_.n_sc; ++sc) y[sc] += nr[sc];
+      antenna_noise.add((static_cast<uint64_t>(s) * cfg_.n_rx + r) * cfg_.n_sc,
+                        noise_amp, {y.data(), cfg_.n_sc});
       ref::ifft_inplace(y);
       for (auto& v : y) v /= time_norm;
     }
   }
 
   // Ideal code-separated pilot observations in the beam domain, against
-  // h_eff = beam_channel().
+  // h_eff = beam_channel(), each with its separated noise added last.
   pilot_obs_.resize(cfg_.n_ue);
   const double pilot_noise_amp = std::sqrt(cfg_.sigma2 / (2.0 * cfg_.n_ue));
+  const size_t n_obs = static_cast<size_t>(cfg_.n_sc) * cfg_.n_beams;
   for (uint32_t l = 0; l < cfg_.n_ue; ++l) {
-    pilot_obs_[l].resize(static_cast<size_t>(cfg_.n_sc) * cfg_.n_beams);
+    pilot_obs_[l].resize(n_obs);
     for (uint32_t sc = 0; sc < cfg_.n_sc; ++sc) {
       for (uint32_t b = 0; b < cfg_.n_beams; ++b) {
-        cd v = h_eff[(static_cast<size_t>(sc) * cfg_.n_beams + b) * cfg_.n_ue + l] *
-               pilots_[l][sc];
-        v += noise_rng.cnormal() * pilot_noise_amp;  // separated noise
-        pilot_obs_[l][static_cast<size_t>(sc) * cfg_.n_beams + b] = v;
+        pilot_obs_[l][static_cast<size_t>(sc) * cfg_.n_beams + b] =
+            h_eff[(static_cast<size_t>(sc) * cfg_.n_beams + b) * cfg_.n_ue + l] *
+            pilots_[l][sc];
       }
     }
+    pilot_noise.add(l * n_obs, pilot_noise_amp, pilot_obs_[l]);
   }
 }
 

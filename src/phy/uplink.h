@@ -54,6 +54,14 @@ struct Uplink_config {
 // distinct from Channel::kUeStream (2^52), so the streams can never collide.
 inline constexpr uint64_t kHarqStream = uint64_t{1} << 56;
 
+// Noise stream offsets (common::Normal_stream): a scenario's antenna noise
+// is keyed derive_seed(root, kAntennaNoiseStream) and its pilot-observation
+// noise derive_seed(root, kPilotNoiseStream), where root is cfg.seed on
+// attempt 0 and derive_seed(cfg.seed, kHarqStream + k) on attempt k.
+// Above every stream offset derived from the same root (kUeStream + l).
+inline constexpr uint64_t kAntennaNoiseStream = uint64_t{1} << 60;
+inline constexpr uint64_t kPilotNoiseStream = kAntennaNoiseStream + 1;
+
 // Overload degrade re-planning: the same slot with at most `n_ue` UE
 // layers.  The admission controller (runtime/admission.h) calls this when a
 // slot's predicted queue delay exceeds its numerology budget - serving

@@ -242,10 +242,12 @@ TEST(GoldenReceiver, HigherOrderQamNeedsMoreSnr) {
 // ---- scenario synthesis, pinned bit for bit --------------------------------
 //
 // FNV-1a (64-bit) over the raw bytes of everything a scenario synthesizes,
-// one digest per surface.  The expected values were recorded from the
-// original per-element std::complex synthesis; any change to the
-// arithmetic order of the channel response, the channel application, the
-// IFFT or the noise draws moves them (docs/DETERMINISM.md §9 rule 5).
+// one digest per surface.  The expected values were recorded with the
+// counter-addressed noise and a build whose AVX2 paths (noise draws and
+// channel rows) were forced off, so the plain-double code alone defines
+// them; any change to the arithmetic order of the channel response, the
+// channel application, the IFFT, the normal transform or the noise
+// indexing moves them (docs/DETERMINISM.md §9 rule 5).
 struct Synthesis_digest {
   uint64_t time = 0;       // antenna_time(s, r), all symbols and antennas
   uint64_t pilot_obs = 0;  // pilot_obs_beam(l), all UEs
@@ -331,40 +333,40 @@ std::vector<Synthesis_case> synthesis_cases() {
   return {
       {"flat-64pt-1ue",
        flat(64, 1, 11),
-       {0xbe1b70f5c34fba76, 0x7e691e8fd6cbc028, 0x963b0495d6aa0ab5,
-        0xa3649345cf4594a0, 0x06f5d26384029845}},
+       {0xff65b358b5fbc736, 0xa12896a46b0c139a, 0x20512b768e216c69,
+        0x7e745e48014ef22e, 0x760c7723755dc0a5}},
       {"flat-192sc-256pt",
        narrow,
-       {0x1284c1feb9c77fc2, 0xf4fae6d38bdb77a2, 0x13842d6b9b3d0825,
-        0x2a251ea31adca1fd, 0x499aef86f50e5025}},
+       {0x801b167c63dc8b59, 0xfab63c01f6c02cc5, 0x7f93ebbfcfa18b29,
+        0xdcd6ed443b4bfb69, 0xa6e833da433c2965}},
       {"tdla-1024pt-4ue-10hz",
        synthesis_config(1024, 4, Channel_profile::tdl_a, 10.0, 13),
-       {0x549804cd27134549, 0x438575b4dc598e95, 0xa174592f39a905a5,
-        0xf7f2543a38f5bbe1, 0x4add622ad121d204}},
+       {0x5f240e42f2920660, 0x2b47a793fe05b87b, 0xa174592f39a905a5,
+        0xf7f2543a38f5bbe1, 0x86fa64645e459179}},
       {"tdlc-256pt-3ue-300hz",
        synthesis_config(256, 3, Channel_profile::tdl_c, 300.0, 14),
-       {0x6926baddc6ee20cd, 0x9c89e20263c9a568, 0x7967541fb672de4d,
-        0xf95811d4a02c7f91, 0x2c237956d993034b}},
+       {0x2b1dec14e14206d0, 0x9be5b353868639e5, 0x7967541fb672de4d,
+        0xf95811d4a02c7f91, 0x0cd885c2682e0db2}},
       {"flat-64pt-harq1",
        flat_harq,
-       {0xb21abd5808e02f9e, 0xf4efe7b220801974, 0xdba1efaec130689d,
-        0xbd8802c037adf7de, 0xe152aa323bb68d05}},
+       {0x1127bb6c53f02835, 0xfca20aaeaba3098d, 0xf2330d49cd292311,
+        0xed471a614f257595, 0x10385084bd1ad005}},
       {"tdla-256pt-harq1",
        tdla_harq,
-       {0xcebd9b10a76a24a2, 0x71f275f4b7d71d9c, 0x4755540c4bd38709,
-        0xf8d6e5b35a31c744, 0x3a944c384128f3ac}},
+       {0xa2a34909cf89945b, 0x7a8f59d51c0d3595, 0x4755540c4bd38709,
+        0xf8d6e5b35a31c744, 0x7109f82ce686a5f4}},
       {"flat-64pt-noiseless",
        flat_quiet,
-       {0x2cc4d7186702d2ef, 0x890fdc55faa2b435, 0x699a8ed82da78f35,
-        0x60b4c712b2e9904e, 0x9aecc86d6e753e85}},
+       {0x3225a874359a473a, 0xdfc36ef7162fcced, 0xdf9475e4cb260225,
+        0x5337be9f6f6812a0, 0x8a372b011dbfb605}},
       {"tdlc-64pt-noiseless",
        tdlc_quiet,
-       {0x5385d36c30c233be, 0x997341ea6e1f2d35, 0xbca0d274834e4abd,
-        0x388a9a84f51cec21, 0x964d8041a432eded}},
+       {0xdfce50a92fba7a4b, 0x5563b2151d8cd3d3, 0xbca0d274834e4abd,
+        0x388a9a84f51cec21, 0xd963fa9b05f2e65e}},
       {"tdla-100sc-128pt",
        tdla_ragged,
-       {0x02703ff73cac6f58, 0x65c6304db27701c7, 0x60a0c37c79183d11,
-        0xbcf731c3bb784b19, 0x03e65135d8411053}},
+       {0xce9f4dafdf4266ff, 0x803698cddf457f64, 0x60a0c37c79183d11,
+        0xbcf731c3bb784b19, 0x0c2bccff6f8d833b}},
   };
 }
 

@@ -35,13 +35,17 @@ using runtime::Traffic_cell;
 using runtime::Traffic_config;
 using runtime::Traffic_source;
 
-// mu 0/1/2 x UE 1/2 x qam16/qpsk x flat/tdl-a/tdl-c.  Zero Doppler and a
-// short delay spread keep every slot inside the Q15 envelope (verified
-// empirically; the decode is exact on all four backends at this seed).
+// mu 0/1/2 x UE 1/2 x qam16/qpsk x flat/tdl-a/tdl-c on 8 antennas and 8
+// beams.  Zero Doppler and a short delay spread keep the slots inside the
+// Q15 envelope: over base seeds 1-1500, 1% of these grids hold a slot the
+// two families decode differently, against about half of them on 4
+// antennas.  The decode is exact on all four backends at this seed.
 Traffic_config benign_grid() {
   Traffic_config cfg;
   cfg.n_slots = 12;
   cfg.base_seed = 7;
+  cfg.n_rx = 8;
+  cfg.n_beams = 8;
   Traffic_cell flat;
   flat.mu = 0;
   flat.fft_size = 64;
@@ -74,6 +78,8 @@ Traffic_config harq_mix(uint64_t n_slots) {
   Traffic_config cfg = benign_grid();
   cfg.n_slots = n_slots;
   cfg.base_seed = 3;
+  cfg.n_rx = 4;  // the smaller array keeps failures frequent
+  cfg.n_beams = 4;
   cfg.cells[1].qam = phy::Qam::qam16;
   cfg.cells[1].doppler_hz = 16.0;
   cfg.cells[1].delay_spread = 4.0;
