@@ -3,13 +3,14 @@
 // (kernel speedups 9a/9b, full use case 9c) on the double-precision host
 // path instead of the simulated cluster.
 //
-// Per-stage rows time the same tiled sub-kernels the backend dispatches
-// (ref::fft_stage_blocks fan-out, ref::matmul_rows, ref::gram_rows,
-// per-UE-batch ref::lmmse) on a common::Thread_pool; the slot row runs the
-// full receive chain through the backend.  Every row of every run is
-// checked bit-identical to the first --workers entry's run before its
-// speedup is reported - the determinism contract of docs/DETERMINISM.md is
-// re-verified on every invocation, not just in the test suite.
+// Per-stage rows time the same kernels and tiled sub-kernels the backend
+// dispatches (a fan-out of whole ref::fft transforms, ref::matmul_rows,
+// ref::gram_rows, per-UE-batch ref::lmmse) on a common::Thread_pool; the
+// slot row runs the full receive chain through the backend.  Every row of
+// every run is checked bit-identical to the first --workers entry's run
+// before its speedup is reported - the determinism contract of
+// docs/DETERMINISM.md is re-verified on every invocation, not just in the
+// test suite.
 //
 //   ./bench/bench_parallel_scaling                  # workers 1,2,4,8
 //   ./bench/bench_parallel_scaling --workers 1,2,16 --fft 4096 --batches 2048

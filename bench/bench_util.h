@@ -241,8 +241,7 @@ inline void print_catalog() {
                            : (name == "fixed"
                                   ? "bit-exact Q1.15 host kernels (== sim)"
                                   : "double-precision host models");
-    std::printf("  %-10s %s%s\n", name.c_str(), what,
-                b->can_split() ? ", stage-splittable" : "");
+    std::printf("  %-10s %s\n", name.c_str(), what);
   }
   std::printf("\nplacement policies (--placement):\n");
   std::printf("  %-10s cell i onto shard i mod N\n", "round-robin");

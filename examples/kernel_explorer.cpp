@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   const auto cfg = bench::cluster_from_cli(cli);
   const std::string kernel = cli.get("--kernel", "fft.parallel");
   const auto params = runtime::Params::parse(cli.get("--params", ""));
+  const uint32_t seed = cli.get_u32("--seed", 1);
 
   if (!runtime::Registry::instance().contains(kernel)) {
     std::fprintf(stderr, "unknown --kernel %s (try --list)\n", kernel.c_str());
@@ -40,8 +41,7 @@ int main(int argc, char** argv) {
   std::printf("%s: %u cores, %.0f KiB L1\n\n", cfg.name.c_str(), cfg.n_cores(),
               cfg.l1_words() * 4.0 / 1024.0);
 
-  const auto r = bench::measure_kernel(
-      cfg, kernel, params, static_cast<uint64_t>(cli.get_int("--seed", 1)));
+  const auto r = bench::measure_kernel(cfg, kernel, params, seed);
   std::printf("%s\n", r.desc.label().c_str());
   std::printf("  cores %u | cycles %lu | instrs %lu | IPC %.2f\n",
               r.rep.n_cores, static_cast<unsigned long>(r.rep.cycles),

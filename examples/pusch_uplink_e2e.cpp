@@ -18,14 +18,17 @@
 // --backend all adds the parallel and fixed backends to the cross-check.
 //
 //   ./examples/pusch_uplink_e2e [--arch mempool|terapool] [--ue N]
-//       [--qam 16] [--backend sim|reference|parallel|fixed|both|all]
+//       [--seed N] [--qam 16]
+//       [--backend sim|reference|parallel|fixed|both|all]
 //       [--intra N] [--chol-batch N] [--list]
 //
 // --list prints the registered clusters, backends, pipeline presets and
 // registry kernels instead of running; unknown --arch/--backend names
-// error with the same lists.  An unknown flag, a --qam other than
-// 4|16|64|256 and a --chol-batch that does not divide the 4 data symbols
-// exit 2.
+// error with the same lists.  These exit 2 with a reason: an unknown flag,
+// a --ue, --seed, --qam, --intra or --chol-batch that is not a
+// non-negative integer, a --ue outside 1..8 (the slot's beam count and the
+// Q15 Gram kernel's limit), a --qam other than 4|16|64|256 and a
+// --chol-batch that does not divide the 4 data symbols.
 //
 // The scenario is a scaled-down slot (256-pt grid, 16 antennas, 8 beams) so
 // the example runs in seconds; bench_fig9c_usecase covers the full-size
@@ -52,12 +55,12 @@ int main(int argc, char** argv) {
   cfg.fft_size = 256;
   cfg.n_rx = 16;
   cfg.n_beams = 8;
-  cfg.n_ue = static_cast<uint32_t>(cli.get_int("--ue", 2));
+  cfg.n_ue = cli.get_u32("--ue", 2);
   cfg.n_symb = 6;
   cfg.n_pilot_symb = 2;
   cfg.sigma2 = 1e-7;
   cfg.ue_power = 0.08;
-  cfg.seed = static_cast<uint64_t>(cli.get_int("--seed", 2023));
+  cfg.seed = cli.get_u32("--seed", 2023);
   // Fading profile (flat | tdl-a | tdl-c) with optional Doppler evolution.
   cfg.profile = bench::channel_from_cli(cli);
   cfg.doppler_hz = cli.get_double("--doppler", 0.0);
@@ -67,6 +70,15 @@ int main(int argc, char** argv) {
   const std::string which = cli.get("--backend", "both");
   const uint32_t intra = cli.get_u32("--intra", 1);
   cli.reject_unknown();
+  // One beam per UE layer, and the Q15 Gram kernel holds at most 8 UE
+  // columns: the slot's 8 beams bound both.
+  if (cfg.n_ue < 1 || cfg.n_ue > cfg.n_beams) {
+    std::fprintf(stderr,
+                 "bad --ue %u: the slot carries 1 to %u UEs (one per beam, "
+                 "at most 8 in the Q15 Gram kernel)\n",
+                 cfg.n_ue, cfg.n_beams);
+    return 2;
+  }
   const uint32_t n_data = cfg.n_symb - cfg.n_pilot_symb;
   if (opt.chol_symb_batch < 1 || n_data % opt.chol_symb_batch != 0) {
     std::fprintf(stderr,

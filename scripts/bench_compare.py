@@ -20,9 +20,12 @@ Wall-clock metrics are host-dependent and never gate.  Directions:
             enough slack to absorb last-ULP libm differences between hosts
             (std::sin/cos are not correctly rounded everywhere)
 
-Improvements and benign changes are listed but do not fail; metrics or rows
-present on only one side are warnings.  Exit status: 0 = no regressions,
-1 = at least one regression, 2 = usage/parse error.
+Each changed metric prints its signed relative change (cur - base)/|base|.
+An exact metric that moved is listed as "MOVED (exact)": it fails like a
+regression, whichever way it went.  Improvements and benign changes are
+listed but do not fail; metrics or rows present on only one side are
+warnings.  Exit status: 0 = no regressions or exact moves, 1 = at least
+one, 2 = usage/parse error.
 """
 
 import argparse
@@ -110,7 +113,8 @@ def main():
     base, base_dups = index_metrics(base_reports)
     cur, cur_dups = index_metrics(cur_reports)
 
-    regressions, improvements, warnings, unchanged = [], [], [], 0
+    regressions, moved, improvements, warnings = [], [], [], []
+    unchanged = 0
     for d in base_dups:
         warnings.append(f"duplicate metric key in baseline: {d}")
     for d in cur_dups:
@@ -137,16 +141,19 @@ def main():
             if args.show_all:
                 print(f"  same       {label} = {cv}")
             continue
-        rel = abs(cv - bv) / abs(bv) if bv != 0 else float("inf")
-        desc = f"{label}: {bv} -> {cv} ({rel:+.1%} magnitude)"
+        if bv != 0:
+            rel = (cv - bv) / abs(bv)
+        else:
+            rel = float("inf") if cv > 0 else float("-inf")
+        desc = f"{label}: {bv} -> {cv} ({rel:+.1%})"
         if better == "exact":
             if abs(cv - bv) <= args.exact_epsilon * max(abs(bv), abs(cv), 1.0):
                 unchanged += 1
                 if args.show_all:
                     print(f"  ulp-noise  {desc}")
             else:
-                regressions.append(f"exact-metric drift {desc}")
-        elif rel <= args.threshold:
+                moved.append(desc)
+        elif abs(rel) <= args.threshold:
             unchanged += 1
             if args.show_all:
                 print(f"  within tol {desc}")
@@ -159,14 +166,16 @@ def main():
         print(f"  warning    {w}")
     for i in improvements:
         print(f"  improved   {i}")
+    for m in moved:
+        print(f"  MOVED (exact) {m}")
     for r in regressions:
         print(f"  REGRESSED  {r}")
     print(
         f"bench_compare: {unchanged} unchanged, {len(improvements)} improved, "
-        f"{len(regressions)} regressed, {len(warnings)} warning(s) "
-        f"(threshold {args.threshold:.1%})"
+        f"{len(regressions)} regressed, {len(moved)} exact moved, "
+        f"{len(warnings)} warning(s) (threshold {args.threshold:.1%})"
     )
-    return 1 if regressions else 0
+    return 1 if regressions or moved else 0
 
 
 if __name__ == "__main__":

@@ -187,9 +187,11 @@ for bin in examples/pusch_serve examples/pusch_sweep examples/pusch_uplink_e2e \
   fi
 done
 # pusch_uplink_e2e rejects --slots as an unknown flag, so it is called
-# directly: an unsupported QAM order, and a Cholesky batch that does not
-# divide the slot's 4 data symbols.
-for bad in "--qam 32" "--chol-batch 3"; do
+# directly: an unsupported QAM order, a Cholesky batch that does not
+# divide the slot's 4 data symbols, a UE count that is not a number or
+# lies outside 1..8, and a seed that is not a number.
+for bad in "--qam 32" "--chol-batch 3" "--ue abc" "--ue 0" "--ue 9" \
+           "--seed x"; do
   status=0
   "$BUILD_DIR"/examples/pusch_uplink_e2e $bad > /dev/null 2>&1 || status=$?
   if [[ "$status" -ne 2 ]]; then

@@ -115,8 +115,8 @@ void fft_bit_reverse(std::vector<cd>& a);
 // One length-`len` butterfly stage over blocks [block_begin, block_end) of
 // the size(a)/len independent blocks (block i spans a[i*len .. (i+1)*len)).
 // Stages must run in increasing `len` order with all blocks of a stage
-// complete before the next stage starts - the barrier point of a
-// cooperative multi-worker FFT.
+// complete before the next stage starts.  No backend splits a host FFT
+// across workers; tests pin that any block ranges give fft()'s bits.
 void fft_stage_blocks(std::vector<cd>& a, size_t len, bool inverse,
                       size_t block_begin, size_t block_end);
 

@@ -32,14 +32,6 @@ class Cli {
     return fallback;
   }
 
-  long get_int(const std::string& name, long fallback) const {
-    note(name);
-    for (size_t i = 0; i + 1 < args_.size(); ++i) {
-      if (args_[i] == name) return std::strtol(args_[i + 1].c_str(), nullptr, 10);
-    }
-    return fallback;
-  }
-
   // Value of "--name" as a validated non-negative 32-bit integer.
   // Malformed or negative values print a readable error and exit 2.
   uint32_t get_u32(const std::string& name, uint32_t fallback) const {

@@ -14,6 +14,7 @@
 #include "kernels/fft.h"
 #include "kernels/gram.h"
 #include "kernels/mmm.h"
+#include "runtime/pipeline.h"
 
 namespace pp::runtime {
 
@@ -67,9 +68,6 @@ class Fft_serial_adapter final : public Kernel {
     desc_.cores = 1;
   }
 
-  uint32_t slots(std::string_view port) const override {
-    return port == "x" || port == "y" ? reps_ : 0;
-  }
   void bind(std::string_view port, uint32_t slot,
             std::span<const cq15> data) override {
     if (port != "x") unknown_port(port);
@@ -96,7 +94,9 @@ class Fft_parallel_adapter final : public Kernel {
   Fft_parallel_adapter(sim::Machine& m, arch::L1_alloc& alloc, const Params& p)
       : Kernel(make_desc("fft.parallel", {})),
         n_(p.getu("n", 256)),
-        inst_(resolve_inst(m, p)),
+        // Like chol.pair's `pairs`, an absent (or 0) `inst` fills the
+        // cluster.
+        inst_(resolve_fft_gangs(m.config(), n_, p)),
         reps_(p.getu("reps", 1)),
         folded_(p.getb("folded", true)),
         fft_(m, alloc, n_, inst_, reps_, folded_) {
@@ -105,9 +105,6 @@ class Fft_parallel_adapter final : public Kernel {
     desc_.cores = fft_.cores_used();
   }
 
-  uint32_t slots(std::string_view port) const override {
-    return port == "x" || port == "y" ? inst_ * reps_ : 0;
-  }
   void bind(std::string_view port, uint32_t slot,
             std::span<const cq15> data) override {
     if (port != "x") unknown_port(port);
@@ -127,15 +124,6 @@ class Fft_parallel_adapter final : public Kernel {
   }
 
  private:
-  // Like chol.pair's `pairs`, an absent (or 0) `inst` fills the cluster.
-  static uint32_t resolve_inst(const sim::Machine& m, const Params& p) {
-    const uint32_t inst = p.getu("inst", 0);
-    if (inst != 0) return inst;
-    const uint32_t n = p.getu("n", 256);
-    PP_CHECK(n >= 16, "fft.parallel needs n >= 16 to resolve inst=0");
-    return std::max(1u, m.config().n_cores() / (n / 16));
-  }
-
   uint32_t n_, inst_, reps_;
   bool folded_;
   kernels::Fft_parallel fft_;
@@ -160,9 +148,6 @@ class Mmm_adapter final : public Kernel {
     desc_.macs = mmm_.cmacs();
   }
 
-  uint32_t slots(std::string_view port) const override {
-    return port == "a" || port == "b" || port == "c" ? 1 : 0;
-  }
   void bind(std::string_view port, uint32_t,
             std::span<const cq15> data) override {
     if (port == "a") {
@@ -206,9 +191,6 @@ class Chol_batch_adapter final : public Kernel {
     desc_.cores = cores_;
   }
 
-  uint32_t slots(std::string_view port) const override {
-    return port == "g" || port == "l" ? per_core_ * cores_ : 0;
-  }
   void bind(std::string_view port, uint32_t slot,
             std::span<const cq15> data) override {
     if (port != "g") unknown_port(port);
@@ -244,9 +226,6 @@ class Chol_pair_adapter final : public Kernel {
     desc_.cores = chol_.cores_used();
   }
 
-  uint32_t slots(std::string_view port) const override {
-    return port == "g" || port == "l" ? 2 * pairs_ : 0;
-  }
   void bind(std::string_view port, uint32_t slot,
             std::span<const cq15> data) override {
     if (port != "g") unknown_port(port);
@@ -290,9 +269,6 @@ class Chol_serial_adapter final : public Kernel {
     desc_.cores = 1;
   }
 
-  uint32_t slots(std::string_view port) const override {
-    return port == "g" || port == "l" ? reps_ : 0;
-  }
   void bind(std::string_view port, uint32_t slot,
             std::span<const cq15> data) override {
     if (port != "g") unknown_port(port);
@@ -326,9 +302,6 @@ class Trisolve_adapter final : public Kernel {
     staged_y_.resize(size_t{per_core_} * cores_);
   }
 
-  uint32_t slots(std::string_view port) const override {
-    return port == "l" || port == "y" || port == "x" ? per_core_ * cores_ : 0;
-  }
   // The concrete kernel stages (L, y) together; buffer each half until its
   // partner arrives.
   void bind(std::string_view port, uint32_t slot,
@@ -383,11 +356,6 @@ class Gram_adapter final : public Kernel {
     desc_.cores = cores_;
   }
 
-  uint32_t slots(std::string_view port) const override {
-    if (port == "h" || port == "y") return 1;
-    if (port == "g" || port == "rhs") return sc_;
-    return 0;
-  }
   void bind(std::string_view port, uint32_t,
             std::span<const cq15> data) override {
     if (port == "h") {
@@ -432,11 +400,6 @@ class Che_adapter final : public Kernel {
     desc_.cores = cores_;
   }
 
-  uint32_t slots(std::string_view port) const override {
-    if (port == "y_sep" || port == "pilot") return l_;
-    if (port == "h") return 1;
-    return 0;
-  }
   void bind(std::string_view port, uint32_t slot,
             std::span<const cq15> data) override {
     if (port == "y_sep") {
@@ -477,11 +440,6 @@ class Ne_adapter final : public Kernel {
     desc_.cores = cores_;
   }
 
-  uint32_t slots(std::string_view port) const override {
-    if (port == "pilot") return l_;
-    if (port == "y" || port == "h") return 1;
-    return 0;
-  }
   void bind(std::string_view port, uint32_t slot,
             std::span<const cq15> data) override {
     if (port == "y") {

@@ -22,6 +22,11 @@
 // Q15_backend runs its marshaling (runtime/q15_chain.h) once for both, and
 // each supplies only how a stage's kernels run.
 //
+// Every backend runs a slot in one shape: a front half (OFDM FFT +
+// beamforming) into a Slot_front, then a back half from it.
+// Backend::run_slot_into is those two calls on a Slot_front the backend
+// keeps; a caller that times the halves apart makes the same two calls.
+//
 // All emit the same Slot_result, so a single scenario can be scored on the
 // simulator and on any host path through the same Pipeline::execute()
 // call.
@@ -38,7 +43,7 @@
 
 namespace pp::runtime {
 
-// Hand-off state between the two halves of a stage-split slot: the
+// Hand-off state between the two halves of a slot: the
 // beam-domain grid after OFDM FFT + beamforming, one row per OFDM symbol,
 // row layout [sc * beam].  Produced by Backend::run_front_into(), consumed
 // by Backend::run_back_into().  The double-precision backends fill
@@ -59,28 +64,34 @@ class Backend {
   virtual bool cycle_accurate() const = 0;
 
   // Whole-slot execution into caller-owned result storage whose capacity
-  // is reused across calls.  Every field of `out` is overwritten, so a
+  // is reused across calls: the two halves below, on the Slot_front this
+  // backend keeps for it.  Every field of `out` is overwritten, so a
   // recycled result equals a fresh one bit for bit.
-  virtual void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                             Slot_result& out) = 0;
+  void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
+                     Slot_result& out) {
+    run_front_into(p, sc, front_);
+    run_back_into(p, sc, front_, out);
+  }
 
-  // Stage-split execution: the front half (FFT + beamforming) and the back
-  // half (CHE, NE, LMMSE MIMO, demodulation) of a slot as two calls, so
-  // each half can be timed on its own.  Contract: run_front_into then
-  // run_back_into on its Slot_front is bit-identical to run_slot_into.
-  // Backends that cannot split (the simulator models a whole slot as one
-  // launch sequence) keep the default can_split() = false and abort in the
-  // split entry points.
-  virtual bool can_split() const { return false; }
+  // The two halves of a slot, so each can be timed on its own: the front
+  // half (OFDM FFT + beamforming) and the back half (CHE, NE, LMMSE MIMO,
+  // demodulation).  run_back_into consumes the Slot_front of the
+  // run_front_into call just before it on the same backend and scenario
+  // (the simulator's machine lives from one to the other).
   virtual void run_front_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                               Slot_front& out) = 0;
   virtual void run_back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                              const Slot_front& front, Slot_result& out) = 0;
 
-  // High-water bytes held by this backend's slot workspaces (0 when the
-  // backend keeps none).  Observability for the growth-then-stable tests;
-  // monotone under the ws_grow discipline.
-  virtual size_t workspace_bytes() const { return 0; }
+  // High-water bytes held by this backend's slot workspaces, the
+  // run_slot_into Slot_front included.  Observability for the
+  // growth-then-stable tests; monotone under the ws_grow discipline.
+  virtual size_t workspace_bytes() const {
+    return front_.beams.footprint_bytes() + front_.beams_q.footprint_bytes();
+  }
+
+ private:
+  Slot_front front_;
 };
 
 // The Q1.15 receive chain over a kernel executor.  The entry points run
@@ -93,14 +104,12 @@ class Backend {
 // its Q15_chain.
 class Q15_backend : public Backend {
  public:
-  void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                     Slot_result& out) final;
-  // Abort unless can_split(): the simulator runs whole slots only.
   void run_front_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                       Slot_front& out) final;
   void run_back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                      const Slot_front& front, Slot_result& out) final;
-  // The chain's marshaling workspace; executors add their own.
+  // The Slot_front and the chain's marshaling workspace; executors add
+  // their own.
   size_t workspace_bytes() const override;
 
  protected:
@@ -123,10 +132,6 @@ class Q15_backend : public Backend {
   virtual void close_slot(const Q15_chain& c, Slot_result& out) = 0;
 
  private:
-  void front_half(const Q15_chain& c, common::Ws_grid<common::cq15>& beams);
-  void back_half(const Q15_chain& c,
-                 const common::Ws_grid<common::cq15>& beams, Slot_result& out);
-
   Q15_ws ws_;
 };
 

@@ -56,9 +56,6 @@ class Fixed_backend final : public Q15_backend {
   // host; false means every kernel runs its scalar loops.
   bool simd_active() const;
 
-  // Stage-split entry points, cut at the beam grid like the parallel
-  // backend: the split is bit-identical to the whole slot.
-  bool can_split() const override { return true; }
   size_t workspace_bytes() const override;
 
  private:

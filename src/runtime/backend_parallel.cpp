@@ -26,52 +26,22 @@ namespace {
 using phy::cd;
 using common::Thread_pool;
 
-// OFDM FFT of one symbol: the symbol's n_rx antenna transforms, each
-// reproducing ref::fft() + the sqrt(N) compensation of the 1/sqrt(N)
-// transmit normalization exactly (scale by 1/N, then by sqrt(N), as two
-// operations).  `freq` is reused across symbols, so the backend holds one
-// symbol's spectra at a time - the serial receiver's footprint.
+// OFDM FFT of one symbol: the symbol's n_rx antenna transforms fanned out
+// over the workers, each owning whole transforms and running the exact
+// serial-receiver sequence - ref::fft_into reusing the row's capacity, then
+// the sqrt(N) compensation of the 1/sqrt(N) transmit normalization (scale
+// by 1/N, then by sqrt(N), as two operations).  Workers beyond the antenna
+// count get empty slices.  `freq` is reused across symbols, so the backend
+// holds one symbol's spectra at a time - the serial receiver's footprint.
 void run_fft_symbol(Thread_pool& pool, const phy::Uplink_scenario& sc,
                     uint32_t s, std::vector<std::vector<cd>>& freq) {
   const auto& cfg = sc.config();
   const double fft_comp = std::sqrt(static_cast<double>(cfg.fft_size));
-  const size_t nfft = cfg.fft_size;
-  const uint32_t workers = pool.workers();
-
-  if (cfg.n_rx >= workers) {
-    // Per-antenna fan-out: each worker owns whole transforms, running the
-    // exact serial-receiver sequence (ref::fft_into reusing the row's
-    // capacity, then the compensation multiply).
-    pool.run([&](uint32_t w) {
-      const auto [first, last] = Thread_pool::slice(cfg.n_rx, w, workers);
-      for (uint64_t r = first; r < last; ++r) {
-        std::vector<cd>& a = freq[r];
-        ref::fft_into(sc.antenna_time(s, static_cast<uint32_t>(r)), a);
-        for (auto& v : a) v *= fft_comp;
-      }
-    });
-    return;
-  }
-
-  // Fewer antennas than workers (few large FFTs): compute each transform
-  // cooperatively - butterfly blocks of one stage tiled across all workers,
-  // a barrier between stages (the paper's FFT mapping).
-  common::Counting_barrier barrier(workers);
-  for (uint32_t r = 0; r < cfg.n_rx; ++r) {
+  pool.parallel_for(cfg.n_rx, [&](uint64_t r) {
     std::vector<cd>& a = freq[r];
-    a = sc.antenna_time(s, r);
-    ref::fft_bit_reverse(a);
-    pool.run([&](uint32_t w) {
-      for (size_t len = 2; len <= nfft; len <<= 1) {
-        const auto [first, last] = Thread_pool::slice(nfft / len, w, workers);
-        ref::fft_stage_blocks(a, len, false, first, last);
-        barrier.arrive_and_wait();
-      }
-      const auto [first, last] = Thread_pool::slice(nfft, w, workers);
-      ref::fft_scale(a, first, last);
-      for (size_t j = first; j < last; ++j) a[j] *= fft_comp;
-    });
-  }
+    ref::fft_into(sc.antenna_time(s, static_cast<uint32_t>(r)), a);
+    for (auto& v : a) v *= fft_comp;
+  });
 }
 
 // Beamforming of one symbol: the matched-filter MMM beams = F^T * B,
@@ -155,56 +125,38 @@ void run_mimo_stage(Thread_pool& pool, const phy::Uplink_scenario& sc,
 
 }  // namespace
 
-void Parallel_backend::run_slot_into(const Pipeline& p,
-                                     const phy::Uplink_scenario& sc,
-                                     Slot_result& out) {
-  front_into(sc, beams_);
-  back_into(p, sc, beams_, out);
-}
-
 void Parallel_backend::run_front_into(const Pipeline&,
                                       const phy::Uplink_scenario& sc,
                                       Slot_front& out) {
-  front_into(sc, out.beams);
-}
-
-void Parallel_backend::run_back_into(const Pipeline& p,
-                                     const phy::Uplink_scenario& sc,
-                                     const Slot_front& front,
-                                     Slot_result& out) {
-  back_into(p, sc, front.beams, out);
-}
-
-void Parallel_backend::front_into(const phy::Uplink_scenario& sc,
-                                  common::Ws_grid<phy::cd>& beams) {
   const auto& cfg = sc.config();
 
   // 1) OFDM demodulation + 2) beamforming, fused per symbol (the serial
   // receiver's memory footprint: one symbol's spectra live at a time).
   // Every beam row is fully written by matmul_rows over the workers'
   // disjoint row tiles.
-  beams.shape(cfg.n_symb, static_cast<size_t>(cfg.n_sc) * cfg.n_beams);
+  out.beams.shape(cfg.n_symb, static_cast<size_t>(cfg.n_sc) * cfg.n_beams);
   if (freq_.size() < cfg.n_rx) freq_.resize(cfg.n_rx);
   common::ws_grow(ft_, static_cast<size_t>(cfg.n_sc) * cfg.n_rx);
   for (uint32_t s = 0; s < cfg.n_symb; ++s) {
     run_fft_symbol(pool_, sc, s, freq_);
-    run_beamform_symbol(pool_, sc, freq_, ft_, beams.row(s));
+    run_beamform_symbol(pool_, sc, freq_, ft_, out.beams.row(s));
   }
 }
 
-void Parallel_backend::back_into(const Pipeline& p,
-                                 const phy::Uplink_scenario& sc,
-                                 const common::Ws_grid<phy::cd>& beams,
-                                 Slot_result& out) {
+void Parallel_backend::run_back_into(const Pipeline& p,
+                                     const phy::Uplink_scenario& sc,
+                                     const Slot_front& front,
+                                     Slot_result& out) {
   const auto& cfg = sc.config();
 
   // 3) Channel estimation + 4) noise estimation.
   run_che_stage(pool_, sc, h_hat_);
-  const double sigma2_hat = run_ne_stage(pool_, sc, beams, h_hat_, sig_terms_);
+  const double sigma2_hat =
+      run_ne_stage(pool_, sc, front.beams, h_hat_, sig_terms_);
 
   // 5) MIMO LMMSE + EVM against the transmitted constellation, straight
   // into the caller's result storage.
-  run_mimo_stage(pool_, sc, beams, h_hat_, sigma2_hat, out.symbols,
+  run_mimo_stage(pool_, sc, front.beams, h_hat_, sigma2_hat, out.symbols,
                  evm_terms_, mimo_ws_);
 
   // 6) Demodulation (parallel per UE) + the shared serial epilogue.
@@ -220,8 +172,8 @@ void Parallel_backend::back_into(const Pipeline& p,
 }
 
 size_t Parallel_backend::workspace_bytes() const {
-  size_t b = common::ws_rows_footprint(freq_) + ft_.capacity() * sizeof(cd) +
-             beams_.footprint_bytes() + h_hat_.capacity() * sizeof(cd) +
+  size_t b = Backend::workspace_bytes() + common::ws_rows_footprint(freq_) +
+             ft_.capacity() * sizeof(cd) + h_hat_.capacity() * sizeof(cd) +
              (sig_terms_.capacity() + evm_terms_.capacity()) * sizeof(double);
   for (const auto& ws : mimo_ws_) b += ws.footprint_bytes();
   return b;

@@ -4,11 +4,9 @@
 // phy::golden_receive, split across a persistent common::Thread_pool the
 // way §IV maps each kernel onto cores:
 //
-//   OFDM FFT     per-symbol fan-out over the antenna transforms; when there
-//                are fewer antennas than workers, each FFT is instead
-//                computed cooperatively - butterfly blocks of one stage
-//                tiled across all workers with a Counting_barrier between
-//                stages (ref::fft_stage_blocks)
+//   OFDM FFT     per-symbol fan-out over the antenna transforms, each
+//                worker owning whole transforms (ref::fft_into); workers
+//                beyond the antenna count sit the stage out
 //   beamforming  the matched-filter MMM, row-block tiled over sub-carriers
 //                (ref::matmul_rows)
 //   CHE / NE     per-(UE, sub-carrier) row tiles / per-element residuals
@@ -47,12 +45,6 @@ class Parallel_backend final : public Backend {
   bool cycle_accurate() const override { return false; }
   uint32_t workers() const { return pool_.workers(); }
 
-  void run_slot_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                     Slot_result& out) override;
-  // Stage-split entry points: the same code paths as run_slot_into(), cut
-  // at the beam-grid boundary, so the split stays bit-identical to the
-  // whole slot.
-  bool can_split() const override { return true; }
   void run_front_into(const Pipeline& p, const phy::Uplink_scenario& sc,
                       Slot_front& out) override;
   void run_back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
@@ -60,11 +52,6 @@ class Parallel_backend final : public Backend {
   size_t workspace_bytes() const override;
 
  private:
-  void front_into(const phy::Uplink_scenario& sc,
-                  common::Ws_grid<phy::cd>& beams);
-  void back_into(const Pipeline& p, const phy::Uplink_scenario& sc,
-                 const common::Ws_grid<phy::cd>& beams, Slot_result& out);
-
   std::string name_;
   common::Thread_pool pool_;
 
@@ -75,7 +62,6 @@ class Parallel_backend final : public Backend {
   // tiles but each needs private solver scratch).
   std::vector<std::vector<phy::cd>> freq_;  // grow-only outer
   std::vector<phy::cd> ft_;
-  common::Ws_grid<phy::cd> beams_;  // fused-path beam grid
   std::vector<phy::cd> h_hat_;
   std::vector<double> sig_terms_;
   std::vector<double> evm_terms_;

@@ -106,8 +106,8 @@ void Sim_backend::close_slot(const Q15_chain&, Slot_result& out) {
 
 void Sim_backend::fft_beamform(const Q15_chain& c,
                                common::Ws_grid<cq15>& beams) {
-  // The simulator runs whole slots only, so the FFT stage opens each one on
-  // a fresh machine; close_slot releases it.
+  // The front half opens each slot on a fresh machine, which lives on
+  // through the back half until close_slot releases it.
   slot_ = std::make_unique<Slot>(c);
   Slot& s = *slot_;
   const auto& cfg = c.cfg;

@@ -48,9 +48,6 @@ class Kernel {
 
   const Kernel_desc& desc() const { return desc_; }
 
-  // Number of bind/fetch slots `port` exposes; 0 for unknown ports.
-  virtual uint32_t slots(std::string_view port) const = 0;
-
   // Stages quantized data into the port's slot (writes L1 via the host).
   virtual void bind(std::string_view port, uint32_t slot,
                     std::span<const common::cq15> data) = 0;

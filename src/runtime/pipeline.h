@@ -64,12 +64,14 @@ struct Stage_spec {
 Params kernel_params(const Exec_spec& spec);
 
 // Resolves an fft stage's concurrent gang count against a cluster: an
-// explicit "inst" param wins, 0/absent fills the cluster; the result is
-// clamped to [1, max_inst].  Shared by the functional backends so their
-// launch counts agree.
+// explicit "inst" param wins, 0/absent fills the cluster - n_cores /
+// (fft_size / 16) concurrent FFTs, the paper's gang of N/16 cores each;
+// the result is clamped to [1, max_inst].  The one gang rule of the
+// fft.parallel kernel, the use-case preset and the functional backends, so
+// their launch counts agree.
 uint32_t resolve_fft_gangs(const arch::Cluster_config& cluster,
                            uint32_t fft_size, const Params& params,
-                           uint32_t max_inst);
+                           uint32_t max_inst = UINT32_MAX);
 
 // ---- analytic roll-up options (paper Fig. 9c) -----------------------------
 

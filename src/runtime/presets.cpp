@@ -10,13 +10,12 @@ Pipeline use_case_pipeline(const Use_case_options& opt) {
   const auto& dims = opt.dims;
   const uint32_t n_cores = cluster.n_cores();
   const uint32_t fft_n = dims.fft_size;
-  const uint32_t gang = fft_n / 16;  // cores per FFT
 
   Pipeline p("pusch-use-case", cluster);
 
   // ---- FFT: n_rx transforms per symbol --------------------------------
   {
-    const uint32_t n_inst = std::max(1u, n_cores / gang);
+    const uint32_t n_inst = resolve_fft_gangs(cluster, fft_n, Params());
     const uint32_t reps = std::max(1u, std::min(16u, dims.n_rx / n_inst));
     const uint32_t per_run = n_inst * reps;
     const uint32_t runs_per_symbol = (dims.n_rx + per_run - 1) / per_run;

@@ -28,8 +28,7 @@ size_t Q15_ws::footprint_bytes() const {
           y_est.capacity() + xs.capacity()) *
              sizeof(cq15) +
          common::ws_rows_footprint(pilots) + common::ws_rows_footprint(y_sep) +
-         y_rhs.footprint_bytes() + x.capacity() * sizeof(cd) +
-         beams.footprint_bytes();
+         y_rhs.footprint_bytes() + x.capacity() * sizeof(cd);
 }
 
 Q15_chain::Q15_chain(const Pipeline& p, const phy::Uplink_scenario& scenario,
@@ -80,45 +79,22 @@ void Q15_chain::hand_on_rhs(const common::Ws_grid<cq15>& beams, uint32_t s0,
                ws.y_rhs.row(b).data() + y0);
 }
 
-void Q15_backend::run_slot_into(const Pipeline& p,
-                                const phy::Uplink_scenario& sc,
-                                Slot_result& out) {
-  const Q15_chain c(p, sc, ws_);
-  front_half(c, ws_.beams);
-  back_half(c, ws_.beams, out);
-}
-
 void Q15_backend::run_front_into(const Pipeline& p,
                                  const phy::Uplink_scenario& sc,
                                  Slot_front& out) {
-  PP_CHECK(can_split(), "backend does not support stage-split execution");
   const Q15_chain c(p, sc, ws_);
-  front_half(c, out.beams_q);
+  quantize_into(sc.codebook(), 1.0, ws_.bq);
+  out.beams_q.shape(c.cfg.n_symb,
+                    static_cast<size_t>(c.cfg.fft_size) * c.cfg.n_beams);
+  fft_beamform(c, out.beams_q);
 }
 
 void Q15_backend::run_back_into(const Pipeline& p,
                                 const phy::Uplink_scenario& sc,
                                 const Slot_front& front, Slot_result& out) {
-  PP_CHECK(can_split(), "backend does not support stage-split execution");
   const Q15_chain c(p, sc, ws_);
-  back_half(c, front.beams_q, out);
-}
-
-size_t Q15_backend::workspace_bytes() const { return ws_.footprint_bytes(); }
-
-void Q15_backend::front_half(const Q15_chain& c,
-                             common::Ws_grid<cq15>& beams) {
   const auto& cfg = c.cfg;
-  quantize_into(c.sc.codebook(), 1.0, ws_.bq);
-  beams.shape(cfg.n_symb, static_cast<size_t>(cfg.fft_size) * cfg.n_beams);
-  fft_beamform(c, beams);
-}
-
-void Q15_backend::back_half(const Q15_chain& c,
-                            const common::Ws_grid<cq15>& beams,
-                            Slot_result& out) {
-  const auto& cfg = c.cfg;
-  const phy::Uplink_scenario& sc = c.sc;
+  const auto& beams = front.beams_q;
   const uint32_t n = cfg.fft_size;
   const uint32_t n_l = cfg.n_ue;
   const size_t h_elems = static_cast<size_t>(n) * cfg.n_beams * n_l;
@@ -178,6 +154,10 @@ void Q15_backend::back_half(const Q15_chain& c,
   }
   out.ber = phy::payload_ber(sc, out.bits);
   close_slot(c, out);
+}
+
+size_t Q15_backend::workspace_bytes() const {
+  return Backend::workspace_bytes() + ws_.footprint_bytes();
 }
 
 }  // namespace pp::runtime

@@ -39,13 +39,13 @@ struct Q15_ws {
   common::Ws_grid<common::cq15> y_rhs;     // [batch symbol][sc * beam]
   std::vector<common::cq15> xs;            // [batch symbol][sc][ue]
   std::vector<phy::cd> x;                  // one sub-carrier's solution
-  common::Ws_grid<common::cq15> beams;     // whole-slot beam grid
 
   size_t footprint_bytes() const;
 };
 
-// One slot's plan, viewed by the executor.  The back half of a split slot
-// derives it again, so the beam grid is the only state between the halves.
+// One slot's plan, viewed by the executor.  Each half of a slot derives it
+// anew, so the Slot_front's beam grid is the only chain state between the
+// halves.
 // Const views still write through `ws`: the plan is fixed, the workspace
 // is not.
 struct Q15_chain {

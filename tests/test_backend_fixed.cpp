@@ -33,7 +33,6 @@ TEST(FixedBackend, MakeBackendByNameAndWorkerCount) {
   const auto b = runtime::make_backend("fixed", 3);
   EXPECT_EQ(b->name(), "fixed");
   EXPECT_FALSE(b->cycle_accurate());
-  EXPECT_TRUE(b->can_split());
   EXPECT_EQ(static_cast<runtime::Fixed_backend*>(b.get())->workers(), 3u);
   runtime::Fixed_backend all(0);
   EXPECT_GE(all.workers(), 1u);

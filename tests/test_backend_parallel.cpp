@@ -201,8 +201,8 @@ TEST(ParallelBackend, ReferenceIsGoldenReceiveBitForBit) {
 }
 
 TEST(ParallelBackend, CooperativeFftPathBitIdentical) {
-  // Fewer transforms than workers forces the cooperative FFT: butterfly
-  // blocks tiled across all workers with a barrier between stages.
+  // Fewer antenna transforms than workers: the workers beyond the antenna
+  // count sit the FFT stage out and join the later stages' tiles.
   phy::Uplink_config cfg;
   cfg.n_sc = 64;
   cfg.fft_size = 64;

@@ -304,9 +304,6 @@ class Counted_kernel : public runtime::Kernel {
   }
   ~Counted_kernel() override { --live_kernels; }
 
-  uint32_t slots(std::string_view port) const override {
-    return inner_->slots(port);
-  }
   void bind(std::string_view port, uint32_t slot,
             std::span<const cq15> data) override {
     inner_->bind(port, slot, data);

@@ -98,8 +98,6 @@ TEST(Registry, DescResolvesClusterDefaults) {
                                 Params().set("n", 64u).set("inst", 0u));
   EXPECT_EQ(k->desc().params.getu("inst", 0), 4u);
   EXPECT_EQ(k->desc().cores, 16u);
-  EXPECT_EQ(k->slots("x"), 4u);
-  EXPECT_EQ(k->slots("bogus"), 0u);
 }
 
 // ---- adapter parity: registry lifecycle == direct kernel class ----------

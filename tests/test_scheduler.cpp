@@ -6,9 +6,9 @@
 //   - a fixed-seed Traffic_source run produces identical aggregate reports
 //     (slot results, latency histograms, deadline-miss counts) at any
 //     worker count, with one or two serving threads per worker;
-//   - the stage-split backend entry points (run_front_into +
-//     run_back_into) are bit-identical to run_slot_into on the host
-//     backends.
+//   - the split backend entry points (run_front_into + run_back_into) on a
+//     caller's Slot_front are bit-identical to run_slot_into on every
+//     backend.
 #include <gtest/gtest.h>
 
 #include "runtime/backend.h"
@@ -172,16 +172,15 @@ TEST(Scheduler, SimBackendDeadlineAccountingWorkerInvariant) {
 }
 
 TEST(Scheduler, SplitBackendsMatchRunSlot) {
-  // run_back_into(run_front_into()) == run_slot_into on the host backends
-  // - the split contract the per-half timing probes rest on.
+  // run_back_into(run_front_into()) == run_slot_into on every backend -
+  // the split contract the per-half timing probes rest on.
   const auto cluster = arch::Cluster_config::minipool();
   const auto pipeline = runtime::uplink_pipeline(cluster, {});
   const phy::Uplink_scenario sc(
       Grid_source::slot_config(small_grid(), small_grid().points()[1], 3));
-  for (const char* name : {"reference", "parallel", "fixed"}) {
+  for (const char* name : {"reference", "parallel", "fixed", "sim"}) {
     auto whole = runtime::make_backend(name, 2);
     auto split = runtime::make_backend(name, 2);
-    ASSERT_TRUE(whole->can_split()) << name;
     runtime::Slot_result a, b;
     runtime::Slot_front front;
     whole->run_slot_into(pipeline, sc, a);
@@ -191,8 +190,8 @@ TEST(Scheduler, SplitBackendsMatchRunSlot) {
     EXPECT_EQ(a.evm, b.evm) << name;
     EXPECT_EQ(a.ber, b.ber) << name;
     EXPECT_EQ(a.sigma2_hat, b.sigma2_hat) << name;
+    EXPECT_EQ(a.total_cycles(), b.total_cycles()) << name;
   }
-  EXPECT_FALSE(runtime::make_backend("sim")->can_split());
 }
 
 TEST(Scheduler, AnalyticServiceModelIsPureAndClockScaled) {

@@ -347,7 +347,6 @@ TEST(WorkspaceBackend, RecycledSlotFrontBitIdenticalToWholeSlot) {
       runtime::uplink_pipeline(arch::Cluster_config::minipool());
   for (const char* name : {"reference", "parallel", "fixed"}) {
     const auto backend = runtime::make_backend(name, 2);
-    ASSERT_TRUE(backend->can_split()) << name;
     runtime::Slot_result whole_small, whole_big;
     backend->run_slot_into(pipeline, small, whole_small);
     backend->run_slot_into(pipeline, big, whole_big);
