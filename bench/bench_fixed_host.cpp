@@ -6,11 +6,13 @@
 // SIMD on (AVX2/NEON where the host supports it), and "reference" -
 // interleaved in one process (bench::time_interleaved, kReps rounds), so
 // each ratio compares runs that saw the same host conditions; the table
-// states each side's median and spread.  Two stage rows isolate the kernels
-// the vector lanes target, on synthetic operands of the slot's shape: the
-// fused LMMSE MIMO stage (Gramian + Cholesky + both substitutions per
-// sub-carrier) and the beamforming MMM, each scalar vs. SIMD.  The scalar
-// and SIMD runs are checked bit-identical on every invocation (the contract
+// states each side's median and spread.  Stage rows isolate the kernels the
+// vector lanes target, on synthetic operands of the slot's shape, each
+// scalar vs. SIMD and as often per slot as the backend runs them: the LMMSE
+// factor (Gramian + Cholesky, once per slot), the LMMSE solve (matched
+// filter + both substitutions, once per data symbol) and the beamforming
+// MMM.  The scalar and SIMD runs are checked bit-identical on every
+// invocation (the contract
 // of docs/DETERMINISM.md section 7); sim parity is covered by
 // tests/test_backend_fixed.cpp, not re-run here (the simulator is orders of
 // magnitude slower).
@@ -126,7 +128,7 @@ int main(int argc, char** argv) {
               "(66-Gb/s SDR cluster for scale)\n",
               fixed::simd_isa(), mbps_per_core);
 
-  // ---- stage rows: the LMMSE MIMO stage and the beamforming MMM ---------
+  // ---- stage rows: the LMMSE factor and solve, the beamforming MMM ------
   // Synthetic operands of the slot's shape at the backend's scales: channel
   // estimates a quarter of full scale (the CHE -> Gramian hand-off), beam
   // rows and spectra at full scale.
@@ -137,20 +139,30 @@ int main(int argc, char** argv) {
   for (auto& v : h) v = common::to_cq15(rng.cnormal() * 0.05);
   const auto y = bench::random_signal(static_cast<size_t>(n) * n_b, 3, 0.3);
   const cq15 sigma{common::to_q15(0.01), 0};
+  std::vector<cq15> l_scalar(static_cast<size_t>(n) * n_l * n_l),
+      l_simd(l_scalar.size());
   std::vector<cq15> x_scalar(static_cast<size_t>(n) * n_l),
       x_simd(x_scalar.size());
   const auto mimo = bench::time_interleaved(
       kReps,
       {[&] {
+         fixed::lmmse_factor(h.data(), sigma, l_scalar.data(), n_b, n_l, 0, n,
+                             false);
+       },
+       [&] {
+         fixed::lmmse_factor(h.data(), sigma, l_simd.data(), n_b, n_l, 0, n,
+                             true);
+       },
+       [&] {
          for (uint32_t s = 0; s < n_data; ++s) {
-           fixed::lmmse_subcarriers(h.data(), y.data(), sigma, x_scalar.data(),
-                                    n_b, n_l, 0, n, false);
+           fixed::lmmse_solve(h.data(), l_scalar.data(), y.data(),
+                              x_scalar.data(), n_b, n_l, 0, n, false);
          }
        },
        [&] {
          for (uint32_t s = 0; s < n_data; ++s) {
-           fixed::lmmse_subcarriers(h.data(), y.data(), sigma, x_simd.data(),
-                                    n_b, n_l, 0, n, true);
+           fixed::lmmse_solve(h.data(), l_simd.data(), y.data(),
+                              x_simd.data(), n_b, n_l, 0, n, true);
          }
        }});
   const uint32_t n_rows = n * n_symb;
@@ -169,26 +181,34 @@ int main(int argc, char** argv) {
                 fixed::mmm_rows(a.data(), bq.data(), c_simd.data(), cfg.n_rx,
                                 n_b, 0, n_rows, true);
               }});
-  if (x_scalar != x_simd || c_scalar != c_simd) {
+  if (l_scalar != l_simd || x_scalar != x_simd || c_scalar != c_simd) {
     std::fprintf(stderr, "fixed stage kernels: scalar/SIMD outputs differ\n");
     return 1;
   }
-  const auto w_mimo_scalar = bench::wall_metric("scalar_wall", mimo[0]);
-  const auto w_mimo_simd = bench::wall_metric("simd_wall", mimo[1]);
+  const auto w_factor_scalar = bench::wall_metric("scalar_wall", mimo[0]);
+  const auto w_factor_simd = bench::wall_metric("simd_wall", mimo[1]);
+  const auto w_solve_scalar = bench::wall_metric("scalar_wall", mimo[2]);
+  const auto w_solve_simd = bench::wall_metric("simd_wall", mimo[3]);
   const auto w_bf_scalar = bench::wall_metric("scalar_wall", bf[0]);
   const auto w_bf_simd = bench::wall_metric("simd_wall", bf[1]);
-  const double mimo_speedup = w_mimo_scalar.median / w_mimo_simd.median;
+  const double factor_speedup = w_factor_scalar.median / w_factor_simd.median;
+  const double solve_speedup = w_solve_scalar.median / w_solve_simd.median;
   const double bf_speedup = w_bf_scalar.median / w_bf_simd.median;
+  const std::string lanes = std::string(fixed::simd_isa()) + " lanes";
+  const std::string solves =
+      "MIMO solve (x" + std::to_string(n_data) + " data symbols): ";
   Table ts({"stage (one slot, 1 thread)", "ms (median +/-spread)",
             "vs scalar"});
-  ts.add_row({"MIMO (fused LMMSE): scalar", ms_cell(w_mimo_scalar),
+  ts.add_row({"MIMO factor (once per slot): scalar", ms_cell(w_factor_scalar),
               Table::fmt(1.0, 2)});
-  ts.add_row({std::string("MIMO (fused LMMSE): ") + fixed::simd_isa() +
-                  " lanes",
-              ms_cell(w_mimo_simd), Table::fmt(mimo_speedup, 2)});
+  ts.add_row({"MIMO factor (once per slot): " + lanes, ms_cell(w_factor_simd),
+              Table::fmt(factor_speedup, 2)});
+  ts.add_row({solves + "scalar", ms_cell(w_solve_scalar), Table::fmt(1.0, 2)});
+  ts.add_row({solves + lanes, ms_cell(w_solve_simd),
+              Table::fmt(solve_speedup, 2)});
   ts.add_row({"BF MMM: scalar", ms_cell(w_bf_scalar), Table::fmt(1.0, 2)});
-  ts.add_row({std::string("BF MMM: ") + fixed::simd_isa() + " lanes",
-              ms_cell(w_bf_simd), Table::fmt(bf_speedup, 2)});
+  ts.add_row({"BF MMM: " + lanes, ms_cell(w_bf_simd),
+              Table::fmt(bf_speedup, 2)});
   std::printf("\n");
   std::fputs(ts.str().c_str(), stdout);
 
@@ -240,9 +260,12 @@ int main(int argc, char** argv) {
   row_ref.metric(w_ref);
   row_ref.metric("fixed_scalar_vs_reference", w_scalar.median / w_ref.median,
                  "x", false, "info");
-  auto& row_mimo = rep.add_row("stage_mimo");
-  row_mimo.metric(w_mimo_scalar).metric(w_mimo_simd);
-  row_mimo.metric("simd_speedup", mimo_speedup, "x", false, "info");
+  auto& row_factor = rep.add_row("stage_mimo_factor");
+  row_factor.metric(w_factor_scalar).metric(w_factor_simd);
+  row_factor.metric("simd_speedup", factor_speedup, "x", false, "info");
+  auto& row_solve = rep.add_row("stage_mimo_solve");
+  row_solve.metric(w_solve_scalar).metric(w_solve_simd);
+  row_solve.metric("simd_speedup", solve_speedup, "x", false, "info");
   auto& row_bf = rep.add_row("stage_bf");
   row_bf.metric(w_bf_scalar).metric(w_bf_simd);
   row_bf.metric("simd_speedup", bf_speedup, "x", false, "info");

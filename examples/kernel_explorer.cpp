@@ -10,7 +10,8 @@
 //
 // Kernel and parameter names are exactly the registry's (see --list or
 // runtime/registry.h); anything not given falls back to the kernel's
-// defaults, with gang sizes resolved against the chosen cluster.
+// defaults, with gang sizes resolved against the chosen cluster.  An
+// unknown flag exits 2 with the accepted list; --help prints that list.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -19,8 +20,14 @@
 int main(int argc, char** argv) {
   using namespace pp;
   common::Cli cli(argc, argv);
+  const bool list = cli.has("--list");
+  const auto cfg = bench::cluster_from_cli(cli);
+  const std::string kernel = cli.get("--kernel", "fft.parallel");
+  const std::string params_text = cli.get("--params", "");
+  const uint32_t seed = cli.get_u32("--seed", 1);
+  cli.reject_unknown();
 
-  if (cli.has("--list")) {
+  if (list) {
     std::printf("registered kernels:\n");
     for (const auto& [name, summary] : runtime::Registry::instance().list()) {
       std::printf("  %-16s %s\n", name.c_str(), summary.c_str());
@@ -28,10 +35,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto cfg = bench::cluster_from_cli(cli);
-  const std::string kernel = cli.get("--kernel", "fft.parallel");
-  const auto params = runtime::Params::parse(cli.get("--params", ""));
-  const uint32_t seed = cli.get_u32("--seed", 1);
+  const auto params = runtime::Params::parse(params_text);
 
   if (!runtime::Registry::instance().contains(kernel)) {
     std::fprintf(stderr, "unknown --kernel %s (try --list)\n", kernel.c_str());

@@ -27,7 +27,8 @@
 // error with the same lists.  These exit 2 with a reason: an unknown flag,
 // a --ue, --seed, --qam, --intra or --chol-batch that is not a
 // non-negative integer, a --ue outside 1..8 (the slot's beam count and the
-// Q15 Gram kernel's limit), a --qam other than 4|16|64|256 and a
+// Q15 Gram kernel's limit), a --ue above 4 whenever sim runs (sim, both,
+// all: trisolve.batch holds n <= 4), a --qam other than 4|16|64|256 and a
 // --chol-batch that does not divide the 4 data symbols.
 //
 // The scenario is a scaled-down slot (256-pt grid, 16 antennas, 8 beams) so
@@ -87,14 +88,6 @@ int main(int argc, char** argv) {
                  opt.chol_symb_batch, n_data);
     return 2;
   }
-
-  std::printf("scenario: %u sub-carriers, %u antennas -> %u beams, %u UEs, "
-              "%u symbols (%u pilot), %u-QAM\n",
-              cfg.n_sc, cfg.n_rx, cfg.n_beams, cfg.n_ue, cfg.n_symb,
-              cfg.n_pilot_symb, static_cast<uint32_t>(cfg.qam));
-  const phy::Uplink_scenario sc(cfg);
-  const auto pipeline = runtime::uplink_pipeline(cluster, opt);
-
   if (which != "sim" && which != "reference" && which != "parallel" &&
       which != "fixed" && which != "both" && which != "all") {
     std::fprintf(stderr,
@@ -103,6 +96,25 @@ int main(int argc, char** argv) {
                  which.c_str());
     return 2;
   }
+  // The simulated batched solve (trisolve.batch) holds n <= 4 UE layers;
+  // the host backends run up to 8.
+  const bool runs_sim = which == "sim" || which == "both" || which == "all";
+  if (runs_sim && cfg.n_ue > 4) {
+    std::fprintf(stderr,
+                 "bad --ue %u for --backend %s: the sim backend's batched "
+                 "solve (trisolve.batch) holds n <= 4 UEs; pick "
+                 "--backend reference, parallel or fixed\n",
+                 cfg.n_ue, which.c_str());
+    return 2;
+  }
+
+  std::printf("scenario: %u sub-carriers, %u antennas -> %u beams, %u UEs, "
+              "%u symbols (%u pilot), %u-QAM\n",
+              cfg.n_sc, cfg.n_rx, cfg.n_beams, cfg.n_ue, cfg.n_symb,
+              cfg.n_pilot_symb, static_cast<uint32_t>(cfg.qam));
+  const phy::Uplink_scenario sc(cfg);
+  const auto pipeline = runtime::uplink_pipeline(cluster, opt);
+
   std::vector<runtime::Slot_result> results;
   for (const auto* name : {"reference", "sim", "parallel", "fixed"}) {
     const bool selected =

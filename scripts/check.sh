@@ -43,6 +43,14 @@ if nm -u "$rng_obj" | grep -E ' (log|exp|sin|cos|sincos|pow)[fl]?(@.*)?$'; then
   exit 1
 fi
 echo "rng.cpp.o imports no log/exp/sin/cos/pow"
+# The QAM slicer rounds without libm (docs/DETERMINISM.md section 7), so
+# the decisions are the same bits on any libm.
+qam_obj="$BUILD_DIR/CMakeFiles/puschpool.dir/src/phy/qam.cpp.o"
+if nm -u "$qam_obj" | grep -E ' l?l?round[fl]?(@.*)?$'; then
+  echo "$qam_obj imports a libm rounding function"
+  exit 1
+fi
+echo "qam.cpp.o imports no lround/round"
 
 echo "--- markdown link check: README.md + docs/ ---"
 # Every relative [text](path) link must resolve against the linking file's
@@ -172,16 +180,33 @@ for bin in examples/pusch_serve examples/pusch_sweep bench/bench_serve_latency \
     exit 1
   fi
 done
+# kernel_explorer reads none of the serving flags: a mistyped --seed and a
+# made-up flag exit 2 before any kernel runs.
+for bad in "--sed 3" "--bogus-flag 7"; do
+  status=0
+  "$BUILD_DIR"/examples/kernel_explorer --arch minipool --kernel mmm \
+      --params m=16,k=4,p=4 $bad > /dev/null 2>&1 || status=$?
+  if [[ "$status" -ne 2 ]]; then
+    echo "kernel_explorer exited $status (want 2) for: $bad"
+    exit 1
+  fi
+done
 # --help prints the accepted flags and exits 0 on every CLI that rejects
-# unknown flags.
-for bin in examples/pusch_serve examples/pusch_sweep examples/pusch_uplink_e2e \
-           bench/bench_serve_latency bench/bench_scenario_mix \
-           bench/bench_capacity bench/bench_throughput_sweep; do
+# unknown flags; each entry names one flag its list must hold.
+for entry in "examples/pusch_serve --backend" "examples/pusch_sweep --backend" \
+             "examples/pusch_uplink_e2e --backend" \
+             "bench/bench_serve_latency --backend" \
+             "bench/bench_scenario_mix --backend" \
+             "bench/bench_capacity --backend" \
+             "bench/bench_throughput_sweep --backend" \
+             "examples/kernel_explorer --kernel"; do
+  bin="${entry% *}"
+  flag="${entry#* }"
   help_out="$("$BUILD_DIR"/$bin --help)" || {
     echo "$bin --help exited non-zero"
     exit 1
   }
-  if ! grep -q '^accepted flags:.* --backend .*--help$' <<< "$help_out"; then
+  if ! grep -q "^accepted flags:.* $flag .*--help\$" <<< "$help_out"; then
     echo "$bin --help did not print its accepted flags"
     exit 1
   fi
@@ -189,8 +214,10 @@ done
 # pusch_uplink_e2e rejects --slots as an unknown flag, so it is called
 # directly: an unsupported QAM order, a Cholesky batch that does not
 # divide the slot's 4 data symbols, a UE count that is not a number or
-# lies outside 1..8, and a seed that is not a number.
+# lies outside 1..8, more than 4 UEs on any backend set that runs sim
+# (the default both, sim and all), and a seed that is not a number.
 for bad in "--qam 32" "--chol-batch 3" "--ue abc" "--ue 0" "--ue 9" \
+           "--ue 5" "--ue 8 --backend sim" "--ue 5 --backend all" \
            "--seed x"; do
   status=0
   "$BUILD_DIR"/examples/pusch_uplink_e2e $bad > /dev/null 2>&1 || status=$?
@@ -199,6 +226,15 @@ for bad in "--qam 32" "--chol-batch 3" "--ue abc" "--ue 0" "--ue 9" \
     exit 1
   fi
 done
+# The host backends run 5 UEs: the slot completes (exit 0, or 1 when its
+# BER is not 0 - the Q15 accuracy floor at 5 UEs).
+status=0
+"$BUILD_DIR"/examples/pusch_uplink_e2e --ue 5 --backend fixed > /dev/null \
+    2>&1 || status=$?
+if [[ "$status" -gt 1 ]]; then
+  echo "pusch_uplink_e2e --ue 5 --backend fixed exited $status (want 0 or 1)"
+  exit 1
+fi
 
 echo "--- bench_all --quick: machine-readable reports + baseline diff ---"
 # Every bench's --json output and the merged summary must parse as real

@@ -225,10 +225,10 @@ int64_t ne_partial(const cq15* y, const cq15* h,
 
 namespace {
 
-// One sub-carrier of gram_subcarriers: hsc/ysc point at its H block and
-// beam row, g/rhs at its n_l x n_l Gramian and n_l-vector.
-void gram_one(const cq15* hsc, const cq15* ysc, cq15 sigma, cq15* g,
-              cq15* rhs, uint32_t n_b, uint32_t n_l) {
+// One sub-carrier of gram_subcarriers: hsc points at its H block, g at its
+// n_l x n_l Gramian.
+void gram_one(const cq15* hsc, cq15 sigma, cq15* g, uint32_t n_b,
+              uint32_t n_l) {
   // Lower triangle G[i][j] = sum_b h_b[j] conj(h_b[i]); each entry is an
   // exact int64 reduction over beams, so reducing per entry matches the
   // sim kernel's per-beam interleaved order bit for bit.
@@ -250,6 +250,14 @@ void gram_one(const cq15* hsc, const cq15* ysc, cq15 sigma, cq15* g,
       g[i * n_l + j] = v;
       if (i != j) g[j * n_l + i] = cconj(v);
     }
+  }
+}
+
+// The matched filter of gram_subcarriers for one sub-carrier: ysc points at
+// its beam row, rhs at its n_l-vector.
+void mf_one(const cq15* hsc, const cq15* ysc, cq15* rhs, uint32_t n_b,
+            uint32_t n_l) {
+  for (uint32_t i = 0; i < n_l; ++i) {
     int64_t re = 0, im = 0;
 #pragma omp simd reduction(+ : re, im)
     for (uint32_t b = 0; b < n_b; ++b) {
@@ -271,10 +279,10 @@ void gram_subcarriers(const cq15* h, const cq15* y, cq15 sigma, cq15* g,
                       uint32_t sc_begin, uint32_t sc_end) {
   PP_CHECK(n_l <= 8, "gram kernel keeps one H column in registers (n_l <= 8)");
   for (uint32_t sc = sc_begin; sc < sc_end; ++sc) {
-    gram_one(h + static_cast<size_t>(sc) * n_b * n_l,
-             y + static_cast<size_t>(sc) * n_b, sigma,
-             g + static_cast<size_t>(sc) * n_l * n_l,
-             rhs + static_cast<size_t>(sc) * n_l, n_b, n_l);
+    const cq15* hsc = h + static_cast<size_t>(sc) * n_b * n_l;
+    gram_one(hsc, sigma, g + static_cast<size_t>(sc) * n_l * n_l, n_b, n_l);
+    mf_one(hsc, y + static_cast<size_t>(sc) * n_b,
+           rhs + static_cast<size_t>(sc) * n_l, n_b, n_l);
   }
 }
 
@@ -345,25 +353,40 @@ void trisolve(const cq15* l, const cq15* y, cq15* x, uint32_t n) {
   }
 }
 
-// ---- fused LMMSE ------------------------------------------------------------
+// ---- LMMSE factor / solve -------------------------------------------------
 
-void lmmse_subcarriers(const cq15* h, const cq15* y, cq15 sigma, cq15* x,
-                       uint32_t n_b, uint32_t n_l, uint32_t sc_begin,
-                       uint32_t sc_end, bool simd) {
+void lmmse_factor(const cq15* h, cq15 sigma, cq15* l, uint32_t n_b,
+                  uint32_t n_l, uint32_t sc_begin, uint32_t sc_end,
+                  bool simd) {
   PP_CHECK(n_l <= 8, "LMMSE keeps one sub-carrier's system on the stack");
+  const size_t h_sc = static_cast<size_t>(n_b) * n_l, l_sc = n_l * n_l;
   uint32_t sc = sc_begin;
   if (simd && sc_end > sc_begin) {
-    sc += lmmse_prefix(h + static_cast<size_t>(sc) * n_b * n_l,
-                       y + static_cast<size_t>(sc) * n_b, sigma,
-                       x + static_cast<size_t>(sc) * n_l, n_b, n_l,
-                       sc_end - sc_begin);
+    sc += lmmse_factor_prefix(h + sc * h_sc, sigma, l + sc * l_sc, n_b, n_l,
+                              sc_end - sc_begin);
   }
-  cq15 g[64], rhs[8], l[64];
+  cq15 g[64];
   for (; sc < sc_end; ++sc) {
-    gram_one(h + static_cast<size_t>(sc) * n_b * n_l,
-             y + static_cast<size_t>(sc) * n_b, sigma, g, rhs, n_b, n_l);
-    cholesky(g, l, n_l);
-    trisolve(l, rhs, x + static_cast<size_t>(sc) * n_l, n_l);
+    gram_one(h + sc * h_sc, sigma, g, n_b, n_l);
+    cholesky(g, l + sc * l_sc, n_l);
+  }
+}
+
+void lmmse_solve(const cq15* h, const cq15* l, const cq15* y, cq15* x,
+                 uint32_t n_b, uint32_t n_l, uint32_t sc_begin,
+                 uint32_t sc_end, bool simd) {
+  PP_CHECK(n_l <= 8, "LMMSE keeps one sub-carrier's system on the stack");
+  const size_t h_sc = static_cast<size_t>(n_b) * n_l, l_sc = n_l * n_l;
+  uint32_t sc = sc_begin;
+  if (simd && sc_end > sc_begin) {
+    sc += lmmse_solve_prefix(h + sc * h_sc, l + sc * l_sc,
+                             y + static_cast<size_t>(sc) * n_b, x + sc * n_l,
+                             n_b, n_l, sc_end - sc_begin);
+  }
+  cq15 rhs[8];
+  for (; sc < sc_end; ++sc) {
+    mf_one(h + sc * h_sc, y + static_cast<size_t>(sc) * n_b, rhs, n_b, n_l);
+    trisolve(l + sc * l_sc, rhs, x + static_cast<size_t>(sc) * n_l, n_l);
   }
 }
 

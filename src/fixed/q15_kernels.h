@@ -125,17 +125,28 @@ void cholesky(const cq15* g, cq15* l, uint32_t n);
 // produced by cholesky() (src/kernels/cholesky.cpp Trisolve_batch); n <= 8.
 void trisolve(const cq15* l, const cq15* y, cq15* x, uint32_t n);
 
-// ---- fused per-sub-carrier LMMSE --------------------------------------------
+// ---- per-sub-carrier LMMSE: factor once, solve per symbol -------------------
 
-// For sub-carriers [sc_begin, sc_end): gram_subcarriers, cholesky and
-// trisolve in sequence, keeping each Gramian on the stack and writing only
-// the solution x[sc*n_l + l] (h and y laid out as for gram_subcarriers).
+// A sub-carrier's regularized Gramian and its Cholesky factor depend only on
+// its channel estimate and sigma, so a slot factors once and solves each
+// data symbol against the kept factors.  Together the pair computes
+// gram_subcarriers, cholesky and trisolve in sequence, value for value.
 // With `simd`, groups of four sub-carriers run one per vector lane
 // (n_l <= 4); every sub-carrier's integer value chain is unchanged, so the
-// output is bit-identical either way.
-void lmmse_subcarriers(const cq15* h, const cq15* y, cq15 sigma, cq15* x,
-                       uint32_t n_b, uint32_t n_l, uint32_t sc_begin,
-                       uint32_t sc_end, bool simd);
+// output is bit-identical either way and for any split of the range.
+
+// For sub-carriers [sc_begin, sc_end): the Gramian of gram_subcarriers (h
+// laid out as there, sigma on the diagonal), factored by cholesky() into
+// l[sc*n_l*n_l ...] (upper triangle zeroed).
+void lmmse_factor(const cq15* h, cq15 sigma, cq15* l, uint32_t n_b,
+                  uint32_t n_l, uint32_t sc_begin, uint32_t sc_end, bool simd);
+
+// For sub-carriers [sc_begin, sc_end): the matched-filter rhs of
+// gram_subcarriers (beam row y[sc*n_b + b]), then trisolve() against the
+// factor lmmse_factor wrote, into x[sc*n_l + l].
+void lmmse_solve(const cq15* h, const cq15* l, const cq15* y, cq15* x,
+                 uint32_t n_b, uint32_t n_l, uint32_t sc_begin,
+                 uint32_t sc_end, bool simd);
 
 }  // namespace pp::fixed
 

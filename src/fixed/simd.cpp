@@ -217,114 +217,186 @@ __attribute__((target("avx2,fma"))) uint32_t mmm_cols_lanes(
 // ---- per-sub-carrier LMMSE: one sub-carrier per lane -----------------------
 
 // Groups of four consecutive sub-carriers with L layers: the value chains
-// of gram_subcarriers, cholesky and trisolve (q15_kernels.cpp), entry by
+// of gram_one, cholesky, mf_one and trisolve (q15_kernels.cpp), entry by
 // entry.  The factorization reads only the Gramian's lower triangle, so the
 // conjugate upper mirror is not formed.
-template <uint32_t L>
-__attribute__((target("avx2,fma"))) void lmmse_lanes(const cq15* h,
-                                                    const cq15* y, cq15 sigma,
-                                                    cq15* x, uint32_t n_b,
-                                                    uint32_t groups) {
-  const size_t h_stride = static_cast<size_t>(n_b) * L;
-  const __m256d one = _mm256_set1_pd(32768.0);  // Q15 -> Q2.30 widening
-  const __m256d sig = _mm256_set1_pd(sigma.re);
-  __m256d hr[kMaxBeams * L], hi[kMaxBeams * L], yr[kMaxBeams], yi[kMaxBeams];
-  for (uint32_t grp = 0; grp < groups; ++grp) {
-    lanes_gather(h + 4 * grp * h_stride, h_stride, n_b * L, hr, hi);
-    lanes_gather(y + 4 * static_cast<size_t>(grp) * n_b, n_b, n_b, yr, yi);
 
-    // Gramian (lower triangle, sigma on the diagonal) + matched filter.
-    __m256d gr[L][L], gi[L][L], rr[L], ri[L];
-    for (uint32_t i = 0; i < L; ++i) {
-      for (uint32_t j = 0; j <= i; ++j) {
-        __m256d s1 = _mm256_setzero_pd(), s2 = s1, s3 = s1, s4 = s1;
-        for (uint32_t b = 0; b < n_b; ++b) {
-          const uint32_t bj = b * L + j, bi = b * L + i;
-          s1 = _mm256_fmadd_pd(hr[bj], hr[bi], s1);
-          s2 = _mm256_fmadd_pd(hi[bj], hi[bi], s2);
-          s3 = _mm256_fmadd_pd(hi[bj], hr[bi], s3);
-          s4 = _mm256_fmadd_pd(hr[bj], hi[bi], s4);
-        }
-        gr[i][j] = lanes_round(_mm256_add_pd(s1, s2));
-        gi[i][j] = lanes_round(_mm256_sub_pd(s3, s4));
-      }
-      gr[i][i] = lanes_sat(_mm256_add_pd(gr[i][i], sig));
+// Lanes -> the four sub-carriers' n-element rows p[w*stride + e].
+PP_LANES void lanes_scatter(const __m256d* re, const __m256d* im, uint32_t n,
+                            cq15* p, size_t stride) {
+  for (uint32_t e = 0; e < n; ++e) {
+    alignas(16) uint32_t words[4];
+    _mm_store_si128(reinterpret_cast<__m128i*>(words),
+                    lanes_pack(re[e], im[e]));
+    for (uint32_t w = 0; w < 4; ++w) {
+      p[w * stride + e] = common::unpack_cq15(words[w]);
+    }
+  }
+}
+
+// Regularized Gramian, lower triangle (gram_one): g[i*L + j], j <= i.
+template <uint32_t L>
+PP_LANES void gram_lanes(const __m256d* hr, const __m256d* hi, __m256d sig,
+                         uint32_t n_b, __m256d* gr, __m256d* gi) {
+  for (uint32_t i = 0; i < L; ++i) {
+    for (uint32_t j = 0; j <= i; ++j) {
       __m256d s1 = _mm256_setzero_pd(), s2 = s1, s3 = s1, s4 = s1;
       for (uint32_t b = 0; b < n_b; ++b) {
-        const uint32_t bi = b * L + i;
-        s1 = _mm256_fmadd_pd(yr[b], hr[bi], s1);
-        s2 = _mm256_fmadd_pd(yi[b], hi[bi], s2);
-        s3 = _mm256_fmadd_pd(yi[b], hr[bi], s3);
-        s4 = _mm256_fmadd_pd(yr[b], hi[bi], s4);
+        const uint32_t bj = b * L + j, bi = b * L + i;
+        s1 = _mm256_fmadd_pd(hr[bj], hr[bi], s1);
+        s2 = _mm256_fmadd_pd(hi[bj], hi[bi], s2);
+        s3 = _mm256_fmadd_pd(hi[bj], hr[bi], s3);
+        s4 = _mm256_fmadd_pd(hr[bj], hi[bi], s4);
       }
-      rr[i] = lanes_round(_mm256_add_pd(s1, s2));
-      ri[i] = lanes_round(_mm256_sub_pd(s3, s4));
+      gr[i * L + j] = lanes_round(_mm256_add_pd(s1, s2));
+      gi[i * L + j] = lanes_round(_mm256_sub_pd(s3, s4));
     }
+    gr[i * L + i] = lanes_sat(_mm256_add_pd(gr[i * L + i], sig));
+  }
+}
 
-    // Cholesky, column by column (chol_diag / chol_offdiag).
-    __m256d lr[L][L], li[L][L];
-    for (uint32_t j = 0; j < L; ++j) {
-      __m256d acc = _mm256_mul_pd(gr[j][j], one);
-      for (uint32_t k = 0; k < j; ++k) {
-        acc = _mm256_fnmadd_pd(lr[j][k], lr[j][k], acc);
-        acc = _mm256_fnmadd_pd(li[j][k], li[j][k], acc);
-      }
-      lr[j][j] = lanes_sqrt(lanes_round(acc));
-      for (uint32_t i = j + 1; i < L; ++i) {
-        __m256d are = _mm256_mul_pd(gr[i][j], one);
-        __m256d aim = _mm256_mul_pd(gi[i][j], one);
-        for (uint32_t k = 0; k < j; ++k) {  // acc -= l_ik conj(l_jk)
-          are = _mm256_fnmadd_pd(lr[i][k], lr[j][k], are);
-          are = _mm256_fnmadd_pd(li[i][k], li[j][k], are);
-          aim = _mm256_fnmadd_pd(li[i][k], lr[j][k], aim);
-          aim = _mm256_fmadd_pd(lr[i][k], li[j][k], aim);
-        }
-        lr[i][j] = lanes_div(lanes_round(are), lr[j][j]);
-        li[i][j] = lanes_div(lanes_round(aim), lr[j][j]);
-      }
+// Cholesky, column by column (chol_diag / chol_offdiag): the factor's full
+// L x L rows, upper triangle zero.
+template <uint32_t L>
+PP_LANES void chol_lanes(const __m256d* gr, const __m256d* gi, __m256d* lr,
+                         __m256d* li) {
+  const __m256d one = _mm256_set1_pd(32768.0);  // Q15 -> Q2.30 widening
+  for (uint32_t e = 0; e < L * L; ++e) lr[e] = li[e] = _mm256_setzero_pd();
+  for (uint32_t j = 0; j < L; ++j) {
+    __m256d acc = _mm256_mul_pd(gr[j * L + j], one);
+    for (uint32_t k = 0; k < j; ++k) {
+      acc = _mm256_fnmadd_pd(lr[j * L + k], lr[j * L + k], acc);
+      acc = _mm256_fnmadd_pd(li[j * L + k], li[j * L + k], acc);
     }
+    lr[j * L + j] = lanes_sqrt(lanes_round(acc));
+    for (uint32_t i = j + 1; i < L; ++i) {
+      __m256d are = _mm256_mul_pd(gr[i * L + j], one);
+      __m256d aim = _mm256_mul_pd(gi[i * L + j], one);
+      for (uint32_t k = 0; k < j; ++k) {  // acc -= l_ik conj(l_jk)
+        are = _mm256_fnmadd_pd(lr[i * L + k], lr[j * L + k], are);
+        are = _mm256_fnmadd_pd(li[i * L + k], li[j * L + k], are);
+        aim = _mm256_fnmadd_pd(li[i * L + k], lr[j * L + k], aim);
+        aim = _mm256_fmadd_pd(lr[i * L + k], li[j * L + k], aim);
+      }
+      lr[i * L + j] = lanes_div(lanes_round(are), lr[j * L + j]);
+      li[i * L + j] = lanes_div(lanes_round(aim), lr[j * L + j]);
+    }
+  }
+}
 
-    // Forward substitution L z = rhs.
-    __m256d zr[L], zi[L];
-    for (uint32_t i = 0; i < L; ++i) {
-      __m256d are = _mm256_mul_pd(rr[i], one);
-      __m256d aim = _mm256_mul_pd(ri[i], one);
+// Matched filter (mf_one): rhs[i] = round(sum_b y_b conj(h_b[i])).
+template <uint32_t L>
+PP_LANES void mf_lanes(const __m256d* hr, const __m256d* hi,
+                       const __m256d* yr, const __m256d* yi, uint32_t n_b,
+                       __m256d* rr, __m256d* ri) {
+  for (uint32_t i = 0; i < L; ++i) {
+    __m256d s1 = _mm256_setzero_pd(), s2 = s1, s3 = s1, s4 = s1;
+    for (uint32_t b = 0; b < n_b; ++b) {
+      const uint32_t bi = b * L + i;
+      s1 = _mm256_fmadd_pd(yr[b], hr[bi], s1);
+      s2 = _mm256_fmadd_pd(yi[b], hi[bi], s2);
+      s3 = _mm256_fmadd_pd(yi[b], hr[bi], s3);
+      s4 = _mm256_fmadd_pd(yr[b], hi[bi], s4);
+    }
+    rr[i] = lanes_round(_mm256_add_pd(s1, s2));
+    ri[i] = lanes_round(_mm256_sub_pd(s3, s4));
+  }
+}
+
+// Forward (L z = v) then backward (L^H x = z) substitution (trisolve), in
+// place on v, for G independent groups at once: each step's divide waits
+// on the step before, so stepping several groups together overlaps their
+// latencies.
+template <uint32_t L, uint32_t G>
+PP_LANES void subst_lanes(const __m256d (*lr)[L * L],
+                          const __m256d (*li)[L * L], __m256d (*vr)[L],
+                          __m256d (*vi)[L]) {
+  const __m256d one = _mm256_set1_pd(32768.0);
+  for (uint32_t i = 0; i < L; ++i) {
+    for (uint32_t g = 0; g < G; ++g) {
+      __m256d are = _mm256_mul_pd(vr[g][i], one);
+      __m256d aim = _mm256_mul_pd(vi[g][i], one);
       for (uint32_t k = 0; k < i; ++k) {  // acc -= l_ik z_k
-        are = _mm256_fnmadd_pd(lr[i][k], zr[k], are);
-        are = _mm256_fmadd_pd(li[i][k], zi[k], are);
-        aim = _mm256_fnmadd_pd(lr[i][k], zi[k], aim);
-        aim = _mm256_fnmadd_pd(li[i][k], zr[k], aim);
+        are = _mm256_fnmadd_pd(lr[g][i * L + k], vr[g][k], are);
+        are = _mm256_fmadd_pd(li[g][i * L + k], vi[g][k], are);
+        aim = _mm256_fnmadd_pd(lr[g][i * L + k], vi[g][k], aim);
+        aim = _mm256_fnmadd_pd(li[g][i * L + k], vr[g][k], aim);
       }
-      zr[i] = lanes_div(lanes_round(are), lr[i][i]);
-      zi[i] = lanes_div(lanes_round(aim), lr[i][i]);
+      vr[g][i] = lanes_div(lanes_round(are), lr[g][i * L + i]);
+      vi[g][i] = lanes_div(lanes_round(aim), lr[g][i * L + i]);
     }
-    // Backward substitution L^H x = z.
-    __m256d xr[L], xi[L];
-    for (uint32_t ii = L; ii-- > 0;) {
-      __m256d are = _mm256_mul_pd(zr[ii], one);
-      __m256d aim = _mm256_mul_pd(zi[ii], one);
+  }
+  for (uint32_t ii = L; ii-- > 0;) {
+    for (uint32_t g = 0; g < G; ++g) {
+      __m256d are = _mm256_mul_pd(vr[g][ii], one);
+      __m256d aim = _mm256_mul_pd(vi[g][ii], one);
       for (uint32_t k = ii + 1; k < L; ++k) {  // acc -= x_k conj(l_k,ii)
-        are = _mm256_fnmadd_pd(xr[k], lr[k][ii], are);
-        are = _mm256_fnmadd_pd(xi[k], li[k][ii], are);
-        aim = _mm256_fnmadd_pd(xi[k], lr[k][ii], aim);
-        aim = _mm256_fmadd_pd(xr[k], li[k][ii], aim);
+        are = _mm256_fnmadd_pd(vr[g][k], lr[g][k * L + ii], are);
+        are = _mm256_fnmadd_pd(vi[g][k], li[g][k * L + ii], are);
+        aim = _mm256_fnmadd_pd(vi[g][k], lr[g][k * L + ii], aim);
+        aim = _mm256_fmadd_pd(vr[g][k], li[g][k * L + ii], aim);
       }
-      xr[ii] = lanes_div(lanes_round(are), lr[ii][ii]);
-      xi[ii] = lanes_div(lanes_round(aim), lr[ii][ii]);
+      vr[g][ii] = lanes_div(lanes_round(are), lr[g][ii * L + ii]);
+      vi[g][ii] = lanes_div(lanes_round(aim), lr[g][ii * L + ii]);
     }
+  }
+}
 
-    // Lanes -> the four sub-carriers' solution vectors.
-    alignas(16) uint32_t words[L][4];
-    for (uint32_t l = 0; l < L; ++l) {
-      _mm_store_si128(reinterpret_cast<__m128i*>(words[l]),
-                      lanes_pack(xr[l], xi[l]));
-    }
-    cq15* xg = x + 4 * static_cast<size_t>(grp) * L;
-    for (uint32_t w = 0; w < 4; ++w) {
-      for (uint32_t l = 0; l < L; ++l) {
-        xg[w * L + l] = common::unpack_cq15(words[l][w]);
-      }
-    }
+template <uint32_t L>
+__attribute__((target("avx2,fma"))) void factor_lanes(const cq15* h,
+                                                     cq15 sigma, cq15* l,
+                                                     uint32_t n_b,
+                                                     uint32_t groups) {
+  const size_t h_stride = static_cast<size_t>(n_b) * L;
+  const __m256d sig = _mm256_set1_pd(sigma.re);
+  __m256d hr[kMaxBeams * L], hi[kMaxBeams * L];
+  __m256d gr[L * L], gi[L * L], lr[L * L], li[L * L];
+  for (uint32_t grp = 0; grp < groups; ++grp) {
+    lanes_gather(h + 4 * grp * h_stride, h_stride, n_b * L, hr, hi);
+    gram_lanes<L>(hr, hi, sig, n_b, gr, gi);
+    chol_lanes<L>(gr, gi, lr, li);
+    lanes_scatter(lr, li, L * L, l + 4 * grp * L * L, L * L);
+  }
+}
+
+// G consecutive groups: the matched filter of each, then their
+// substitutions stepped together.
+template <uint32_t L, uint32_t G>
+PP_LANES void solve_groups(const cq15* h, const cq15* l, const cq15* y,
+                           cq15* x, uint32_t n_b) {
+  const size_t h_stride = static_cast<size_t>(n_b) * L;
+  __m256d lr[G][L * L], li[G][L * L], vr[G][L], vi[G][L];
+  for (uint32_t g = 0; g < G; ++g) {
+    __m256d hr[kMaxBeams * L], hi[kMaxBeams * L];
+    __m256d yr[kMaxBeams], yi[kMaxBeams];
+    lanes_gather(h + 4 * g * h_stride, h_stride, n_b * L, hr, hi);
+    lanes_gather(y + 4 * static_cast<size_t>(g) * n_b, n_b, n_b, yr, yi);
+    lanes_gather(l + 4 * g * L * L, L * L, L * L, lr[g], li[g]);
+    mf_lanes<L>(hr, hi, yr, yi, n_b, vr[g], vi[g]);
+  }
+  subst_lanes<L, G>(lr, li, vr, vi);
+  for (uint32_t g = 0; g < G; ++g) {
+    lanes_scatter(vr[g], vi[g], L, x + 4 * g * L, L);
+  }
+}
+
+template <uint32_t L>
+__attribute__((target("avx2,fma"))) void solve_lanes(const cq15* h,
+                                                    const cq15* l,
+                                                    const cq15* y, cq15* x,
+                                                    uint32_t n_b,
+                                                    uint32_t groups) {
+  const size_t h_stride = static_cast<size_t>(n_b) * L;
+  uint32_t grp = 0;
+  for (; grp + 2 <= groups; grp += 2) {
+    solve_groups<L, 2>(h + 4 * grp * h_stride, l + 4 * grp * L * L,
+                       y + 4 * static_cast<size_t>(grp) * n_b,
+                       x + 4 * grp * L, n_b);
+  }
+  if (grp < groups) {
+    solve_groups<L, 1>(h + 4 * grp * h_stride, l + 4 * grp * L * L,
+                       y + 4 * static_cast<size_t>(grp) * n_b,
+                       x + 4 * grp * L, n_b);
   }
 }
 
@@ -541,15 +613,30 @@ uint32_t mmm_cols_prefix(const cq15* a, const cq15* b, cq15* c, uint32_t k_dim,
   return mmm_cols_lanes(a, b, c, k_dim, p, rows);
 }
 
-uint32_t lmmse_prefix(const cq15* h, const cq15* y, cq15 sigma, cq15* x,
-                      uint32_t n_b, uint32_t n_l, uint32_t n_sc) {
+uint32_t lmmse_factor_prefix(const cq15* h, cq15 sigma, cq15* l, uint32_t n_b,
+                             uint32_t n_l, uint32_t n_sc) {
   if (!lanes_supported() || n_b > kMaxBeams) return 0;
   const uint32_t groups = n_sc / 4;
   switch (n_l) {
-    case 1: lmmse_lanes<1>(h, y, sigma, x, n_b, groups); break;
-    case 2: lmmse_lanes<2>(h, y, sigma, x, n_b, groups); break;
-    case 3: lmmse_lanes<3>(h, y, sigma, x, n_b, groups); break;
-    case 4: lmmse_lanes<4>(h, y, sigma, x, n_b, groups); break;
+    case 1: factor_lanes<1>(h, sigma, l, n_b, groups); break;
+    case 2: factor_lanes<2>(h, sigma, l, n_b, groups); break;
+    case 3: factor_lanes<3>(h, sigma, l, n_b, groups); break;
+    case 4: factor_lanes<4>(h, sigma, l, n_b, groups); break;
+    default: return 0;
+  }
+  return 4 * groups;
+}
+
+uint32_t lmmse_solve_prefix(const cq15* h, const cq15* l, const cq15* y,
+                            cq15* x, uint32_t n_b, uint32_t n_l,
+                            uint32_t n_sc) {
+  if (!lanes_supported() || n_b > kMaxBeams) return 0;
+  const uint32_t groups = n_sc / 4;
+  switch (n_l) {
+    case 1: solve_lanes<1>(h, l, y, x, n_b, groups); break;
+    case 2: solve_lanes<2>(h, l, y, x, n_b, groups); break;
+    case 3: solve_lanes<3>(h, l, y, x, n_b, groups); break;
+    case 4: solve_lanes<4>(h, l, y, x, n_b, groups); break;
     default: return 0;
   }
   return 4 * groups;
@@ -627,8 +714,13 @@ uint32_t mmm_cols_prefix(const cq15*, const cq15*, cq15*, uint32_t, uint32_t,
   return 0;
 }
 
-uint32_t lmmse_prefix(const cq15*, const cq15*, cq15, cq15*, uint32_t,
-                      uint32_t, uint32_t) {
+uint32_t lmmse_factor_prefix(const cq15*, cq15, cq15*, uint32_t, uint32_t,
+                             uint32_t) {
+  return 0;
+}
+
+uint32_t lmmse_solve_prefix(const cq15*, const cq15*, const cq15*, cq15*,
+                            uint32_t, uint32_t, uint32_t) {
   return 0;
 }
 #endif

@@ -84,14 +84,16 @@ uint32_t quantize_prefix(const std::complex<double>* x, double scale, cq15* q,
 uint32_t mmm_cols_prefix(const cq15* a, const cq15* b, cq15* c, uint32_t k_dim,
                          uint32_t p, uint32_t rows);
 
-// Per-sub-carrier LMMSE with one sub-carrier per vector lane: for each of a
-// prefix of [0, n_sc), the Gramian + matched filter of gram_subcarriers (h
-// block at h[sc*n_b*n_l], y at y[sc*n_b]) followed by cholesky() and
-// trisolve(), writing only the solution x[sc*n_l + l].  Handles whole
-// groups of four sub-carriers when n_l <= 4 and n_b <= 64 (else 0) and
-// returns how many; the caller finishes the tail scalar.
-uint32_t lmmse_prefix(const cq15* h, const cq15* y, cq15 sigma, cq15* x,
-                      uint32_t n_b, uint32_t n_l, uint32_t n_sc);
+// The LMMSE factor/solve pair (q15_kernels.h) with one sub-carrier per
+// vector lane, over a prefix of [0, n_sc): h block at h[sc*n_b*n_l], factor
+// at l[sc*n_l*n_l], beam row at y[sc*n_b], solution at x[sc*n_l].  Each
+// handles whole groups of four sub-carriers when n_l <= 4 and n_b <= 64
+// (else 0) and returns how many; the caller finishes the tail scalar.
+uint32_t lmmse_factor_prefix(const cq15* h, cq15 sigma, cq15* l, uint32_t n_b,
+                             uint32_t n_l, uint32_t n_sc);
+uint32_t lmmse_solve_prefix(const cq15* h, const cq15* l, const cq15* y,
+                            cq15* x, uint32_t n_b, uint32_t n_l,
+                            uint32_t n_sc);
 
 }  // namespace pp::fixed
 

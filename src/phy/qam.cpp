@@ -1,5 +1,6 @@
 #include "phy/qam.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -70,28 +71,47 @@ std::vector<cd> qam_modulate(Qam q, const std::vector<uint8_t>& bits) {
   return out;
 }
 
+namespace {
+
+// The nearest of the 2^Half levels per axis to every symbol, Gray-mapped
+// to bits.  The level is lround(lvl) clamped to [0, top], computed without
+// a libm call: the cast truncates a clamped level exactly, and
+// c - trunc(c) is exact, so comparing that fraction with 1/2 rounds halves
+// away from zero as lround does.  NaN, +inf and levels from 2^63 up
+// overflow lround to LONG_MIN, so they slice to level 0.
+template <uint32_t Half>
+void demodulate(const cd* symbols, size_t n, uint8_t* bits) {
+  constexpr uint32_t levels = 1u << Half;
+  constexpr double top = levels - 1;
+  const double s = axis_scale(levels);
+  auto slice = [&](double v) -> uint32_t {
+    const double lvl = (v / s + top) / 2.0;
+    const double c = lvl > 0.0 && lvl < 0x1p63 ? std::min(lvl, top) : 0.0;
+    const uint32_t t = static_cast<uint32_t>(c);
+    return level_to_gray(t + (c - t >= 0.5));
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t gi = slice(symbols[i].real());
+    const uint32_t gq = slice(symbols[i].imag());
+    uint8_t* out = bits + i * 2 * Half;
+    for (uint32_t b = 0; b < Half; ++b) {
+      out[b] = (gi >> (Half - 1 - b)) & 1;
+      out[Half + b] = (gq >> (Half - 1 - b)) & 1;
+    }
+  }
+}
+
+}  // namespace
+
 void qam_demodulate_into(Qam q, const std::vector<cd>& symbols,
                          std::vector<uint8_t>& bits) {
   const uint32_t bps = qam_bits(q);
-  const uint32_t half = bps / 2;
-  const uint32_t levels = 1u << half;
-  const double s = axis_scale(levels);
-
   bits.resize(symbols.size() * bps);
-  for (size_t i = 0; i < symbols.size(); ++i) {
-    auto slice = [&](double v) -> uint32_t {
-      const double lvl = (v / s + (levels - 1)) / 2.0;
-      const long r = std::lround(lvl);
-      return static_cast<uint32_t>(std::min<long>(std::max<long>(r, 0), levels - 1));
-    };
-    const uint32_t gi = level_to_gray(slice(symbols[i].real()));
-    const uint32_t gq = level_to_gray(slice(symbols[i].imag()));
-    for (uint32_t b = 0; b < half; ++b) {
-      bits[i * bps + b] = (gi >> (half - 1 - b)) & 1;
-    }
-    for (uint32_t b = 0; b < half; ++b) {
-      bits[i * bps + half + b] = (gq >> (half - 1 - b)) & 1;
-    }
+  switch (bps / 2) {
+    case 1: demodulate<1>(symbols.data(), symbols.size(), bits.data()); break;
+    case 2: demodulate<2>(symbols.data(), symbols.size(), bits.data()); break;
+    case 3: demodulate<3>(symbols.data(), symbols.size(), bits.data()); break;
+    case 4: demodulate<4>(symbols.data(), symbols.size(), bits.data()); break;
   }
 }
 

@@ -124,7 +124,10 @@ class Q15_backend : public Backend {
   // value, kernels::ne_sigma2 of its accumulator word.
   virtual double ne(const Q15_chain& c) = 0;
   // Gramian + Cholesky + solves of data symbols [s0, s0 + batch), the beam
-  // rows handed on through c.hand_on_rhs, into ws.xs.
+  // rows handed on through c.hand_on_rhs, into ws.xs.  A slot's batches
+  // come after NE and in order from its first data symbol, so an executor
+  // may compute what depends only on ws.h_gram and sigma2_hat once, at
+  // the first.
   virtual void mimo(const Q15_chain& c,
                     const common::Ws_grid<common::cq15>& beams, uint32_t s0,
                     double sigma2_hat) = 0;

@@ -133,13 +133,27 @@ void Fixed_backend::mimo(const Q15_chain& c,
                          const common::Ws_grid<cq15>& beams, uint32_t s0,
                          double sigma2_hat) {
   const uint32_t n = c.cfg.fft_size;
+  const uint32_t n_b = c.cfg.n_beams;
   const uint32_t n_l = c.cfg.n_ue;
-  const cq15 sigma{common::to_q15(sigma2_hat), 0};
   const bool simd = simd_active();
   const uint32_t workers = pool_.workers();
+  // A sub-carrier's regularized Gramian and its Cholesky factor depend only
+  // on ws.h_gram and sigma2_hat, which the slot fixes before its first data
+  // batch: that batch factors every sub-carrier once, and every batch of the
+  // slot solves against the kept factors.
+  if (s0 == c.cfg.n_pilot_symb) {
+    const cq15 sigma{common::to_q15(sigma2_hat), 0};
+    common::ws_grow(chol_, static_cast<size_t>(n) * n_l * n_l);
+    pool_.run([&](uint32_t w) {
+      const auto [lo, hi] = Thread_pool::slice(n, w, workers);
+      fixed::lmmse_factor(c.ws.h_gram.data(), sigma, chol_.data(), n_b, n_l,
+                          static_cast<uint32_t>(lo), static_cast<uint32_t>(hi),
+                          simd);
+    });
+  }
   // (symbol-in-batch, sub-carrier) problems in contiguous sub-carrier runs
   // per worker: hand the beam rows on at the matched filter's scale, then
-  // Gramian, Cholesky and both substitutions per sub-carrier.
+  // the matched filter and both substitutions per sub-carrier.
   pool_.run([&](uint32_t w) {
     const auto [i0, i1] =
         Thread_pool::slice(static_cast<uint64_t>(c.batch) * n, w, workers);
@@ -149,10 +163,10 @@ void Fixed_backend::mimo(const Q15_chain& c,
       const uint32_t hi =
           static_cast<uint32_t>(std::min<uint64_t>(n, lo + (i1 - item)));
       c.hand_on_rhs(beams, s0, b, lo, hi);
-      const size_t x0 = static_cast<size_t>(b) * n * n_l;
-      fixed::lmmse_subcarriers(c.ws.h_gram.data(), c.ws.y_rhs.row(b).data(),
-                               sigma, c.ws.xs.data() + x0, c.cfg.n_beams, n_l,
-                               lo, hi, simd);
+      fixed::lmmse_solve(c.ws.h_gram.data(), chol_.data(),
+                         c.ws.y_rhs.row(b).data(),
+                         c.ws.xs.data() + static_cast<size_t>(b) * n * n_l,
+                         n_b, n_l, lo, hi, simd);
       item += hi - lo;
     }
   });
@@ -164,7 +178,7 @@ void Fixed_backend::close_slot(const Q15_chain& c, Slot_result& out) {
 
 size_t Fixed_backend::workspace_bytes() const {
   size_t b = Q15_backend::workspace_bytes() + freq_.footprint_bytes() +
-             h_q_.capacity() * sizeof(cq15) +
+             (h_q_.capacity() + chol_.capacity()) * sizeof(cq15) +
              contribs_.capacity() * sizeof(uint32_t);
   for (const auto& ws : fft_ws_) b += ws.footprint_bytes();
   return b;

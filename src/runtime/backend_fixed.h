@@ -23,10 +23,12 @@
 //                uint32 fold is partition-dependent, so the simulated
 //                partition is replayed no matter the worker count), folded
 //                serially in block order
-//   LMMSE MIMO   contiguous (symbol, sub-carrier) runs, each sub-carrier's
-//                Gramian + Cholesky + substitutions fused (vector lanes
-//                across sub-carriers with SIMD); EVM/BER epilogue serial in
-//                slot order
+//   LMMSE MIMO   once per slot, contiguous sub-carrier runs of the
+//                Gramian + Cholesky factor; per data-symbol batch,
+//                contiguous (symbol, sub-carrier) runs of the matched
+//                filter + both substitutions against those factors (vector
+//                lanes across sub-carriers with SIMD); EVM/BER epilogue
+//                serial in slot order
 //
 // Every parallel tile performs exact integer arithmetic on disjoint
 // outputs, so the result is independent of the worker count - pinned at
@@ -86,6 +88,7 @@ class Fixed_backend final : public Q15_backend {
   std::vector<Worker_ws> fft_ws_;        // one per worker
   common::Ws_grid<common::cq15> freq_;   // [symb * rx][sc] MMM inputs
   std::vector<common::cq15> h_q_;        // CHE output at CHE's scale
+  std::vector<common::cq15> chol_;       // [sc][ue][ue] the slot's factors
   std::vector<uint32_t> contribs_;       // NE fold, one per core block
 };
 

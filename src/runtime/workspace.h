@@ -21,6 +21,7 @@
 #include "common/check.h"
 #include "common/complex16.h"
 #include "common/grid.h"
+#include "fixed/simd.h"
 
 namespace pp::runtime {
 
@@ -73,10 +74,14 @@ inline void rescale_into(std::span<const common::cq15> src,
   rescale_into(src.data(), src.size(), rs, dst.data());
 }
 
+// q[i] = to_cq15(x[i] * scale), the prefix through the vector quantizer
+// where the host has one (bit-identical to to_cq15, fixed/simd.h).
 inline void quantize_into(std::span<const std::complex<double>> x,
                           double scale, std::vector<common::cq15>& q) {
   common::ws_grow(q, x.size());
-  for (size_t i = 0; i < x.size(); ++i) {
+  const size_t done = fixed::quantize_prefix(
+      x.data(), scale, q.data(), static_cast<uint32_t>(x.size()));
+  for (size_t i = done; i < x.size(); ++i) {
     q[i] = common::to_cq15(x[i] * scale);
   }
 }

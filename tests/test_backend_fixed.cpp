@@ -182,6 +182,43 @@ TEST(FixedBackend, BatchedMimoAndFftGangsBitIdenticalToSim) {
   }
 }
 
+TEST(FixedBackend, FactorOncePerSlotBitIdenticalToSimOverTwelveDataSymbols) {
+  // The fixed backend factors each sub-carrier once per slot and solves all
+  // 12 data symbols of a 14-symbol slot against it; sim launches the
+  // Gramian and Cholesky per symbol batch.  At 3 workers the factor and
+  // solve slices cut four-sub-carrier lane groups (at sub-carriers 22, 43).
+  phy::Uplink_config cfg;
+  cfg.n_sc = 64;
+  cfg.fft_size = 64;
+  cfg.n_rx = 4;
+  cfg.n_beams = 8;
+  cfg.n_ue = 4;
+  cfg.n_symb = 14;
+  cfg.n_pilot_symb = 2;
+  cfg.qam = phy::Qam::qam16;
+  cfg.seed = 2024;
+  const phy::Uplink_scenario sc(cfg);
+  // The 14-symbol slot outgrows minipool's L1.
+  const auto cluster = arch::Cluster_config::mempool();
+
+  for (const uint32_t batch : {1u, 4u}) {
+    runtime::Uplink_options opt;
+    opt.chol_symb_batch = batch;
+    const auto pipeline = runtime::uplink_pipeline(cluster, opt);
+    const auto sim = pipeline.execute(sc, *runtime::make_backend("sim"));
+    for (const uint32_t intra : {1u, 3u}) {
+      runtime::Fixed_backend backend(intra);
+      const std::string what =
+          "batch " + std::to_string(batch) + " intra " + std::to_string(intra);
+      // Twice on one backend: the second slot reuses the kept factor
+      // storage and must factor anew.
+      for (int rep = 0; rep < 2; ++rep) {
+        expect_slot_bits_equal(sim, pipeline.execute(sc, backend), what);
+      }
+    }
+  }
+}
+
 TEST(FixedBackend, SplitContractMatchesWholeSlot) {
   // run_back_into(run_front_into()) == run_slot_into - the contract stage
   // pipelining rests on (scheduler.h).
@@ -365,7 +402,8 @@ TEST(FixedQ15, SimdMmmMatchesScalarAcrossShapes) {
   }
 }
 
-// The scalar per-sub-carrier sequence the fused LMMSE replaces.
+// The per-symbol sequence the LMMSE factor/solve pair replaces: Gramian and
+// matched filter, then Cholesky and both substitutions per sub-carrier.
 std::vector<cq15> lmmse_reference(const std::vector<cq15>& h,
                                   const std::vector<cq15>& y, cq15 sigma,
                                   uint32_t n_b, uint32_t n_l, uint32_t n_sc) {
@@ -383,41 +421,61 @@ std::vector<cq15> lmmse_reference(const std::vector<cq15>& h,
   return x;
 }
 
-TEST(FixedQ15, LmmseLanesMatchScalarSequence) {
-  // lmmse_subcarriers, scalar and SIMD, against gram_subcarriers + cholesky
-  // + trisolve per sub-carrier.  Two input regimes: the backend's (channel
-  // estimates a quarter of full scale, so the Gramians are well
-  // conditioned) and full-range adversarial values, whose Gramians drive
-  // the factorization into zero diagonals (div_q15's saturating branch),
-  // non-positive sqrt arguments and saturated quotients.
+TEST(FixedQ15, LmmseFactorSolveMatchPerSymbolSequence) {
+  // lmmse_factor once, then lmmse_solve for several beam rows, against
+  // gram_subcarriers + cholesky + trisolve per row; the factor and each
+  // solve scalar or SIMD in every combination (the two write one factor
+  // layout), over sub-ranges whose cuts fall inside four-sub-carrier lane
+  // groups and differ between the factor and the solves.  Two input
+  // regimes: the backend's (channel estimates a quarter of full scale, so
+  // the Gramians are well conditioned) and full-range adversarial values,
+  // whose Gramians drive the factorization into zero diagonals (div_q15's
+  // saturating branch), non-positive sqrt arguments and saturated
+  // quotients.  Layer counts above 4 run the scalar path either way.
   common::Rng rng(5);
+  constexpr uint32_t kRows = 3;  // data symbols against one factor
   for (const bool full_range : {false, true}) {
-    for (const uint32_t n_l : {1u, 2u, 3u, 4u, 5u, 8u}) {
+    for (const uint32_t n_l : {1u, 2u, 3u, 4u, 5u, 6u, 8u}) {
       for (const uint32_t n_b : {1u, 3u, 8u, 13u, 32u, 64u, 65u}) {
         if (n_b < n_l) continue;
         const uint32_t n_sc = 1 + rng.next_u32() % 23;
         std::vector<cq15> h(static_cast<size_t>(n_sc) * n_b * n_l);
-        std::vector<cq15> y(static_cast<size_t>(n_sc) * n_b);
         for (auto& v : h) {
           v = random_cq15(rng);
           if (!full_range) v = cq15{static_cast<int16_t>(v.re >> 2),
                                     static_cast<int16_t>(v.im >> 2)};
         }
-        for (auto& v : y) v = random_cq15(rng);
+        std::vector<std::vector<cq15>> ys(kRows);
+        for (auto& y : ys) {
+          y.resize(static_cast<size_t>(n_sc) * n_b);
+          for (auto& v : y) v = random_cq15(rng);
+        }
         const cq15 sigma{static_cast<int16_t>(rng.next_u32() % 4096), 0};
-        const auto want = lmmse_reference(h, y, sigma, n_b, n_l, n_sc);
-        for (const bool simd : {false, true}) {
-          std::vector<cq15> got(want.size());
-          // Two sub-ranges: the split must not matter either.
-          const uint32_t mid = n_sc / 2;
-          fixed::lmmse_subcarriers(h.data(), y.data(), sigma, got.data(), n_b,
-                                   n_l, 0, mid, simd);
-          fixed::lmmse_subcarriers(h.data(), y.data(), sigma, got.data(), n_b,
-                                   n_l, mid, n_sc, simd);
-          for (size_t i = 0; i < want.size(); ++i) {
-            ASSERT_EQ(want[i], got[i])
-                << "n_l " << n_l << " n_b " << n_b << " sc " << i / n_l
-                << " simd " << simd << " full range " << full_range;
+        for (const bool simd_factor : {false, true}) {
+          std::vector<cq15> l(static_cast<size_t>(n_sc) * n_l * n_l);
+          const uint32_t cut = n_sc / 3;
+          fixed::lmmse_factor(h.data(), sigma, l.data(), n_b, n_l, 0, cut,
+                              simd_factor);
+          fixed::lmmse_factor(h.data(), sigma, l.data(), n_b, n_l, cut, n_sc,
+                              simd_factor);
+          for (const bool simd_solve : {false, true}) {
+            for (uint32_t r = 0; r < kRows; ++r) {
+              const auto want =
+                  lmmse_reference(h, ys[r], sigma, n_b, n_l, n_sc);
+              std::vector<cq15> got(want.size());
+              const uint32_t mid = (n_sc + r) / 2;
+              fixed::lmmse_solve(h.data(), l.data(), ys[r].data(), got.data(),
+                                 n_b, n_l, 0, mid, simd_solve);
+              fixed::lmmse_solve(h.data(), l.data(), ys[r].data(), got.data(),
+                                 n_b, n_l, mid, n_sc, simd_solve);
+              for (size_t i = 0; i < want.size(); ++i) {
+                ASSERT_EQ(want[i], got[i])
+                    << "n_l " << n_l << " n_b " << n_b << " sc " << i / n_l
+                    << " row " << r << " simd factor " << simd_factor
+                    << " simd solve " << simd_solve << " full range "
+                    << full_range;
+              }
+            }
           }
         }
       }

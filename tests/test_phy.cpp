@@ -3,9 +3,11 @@
 // bit-level pins of the reference FFT and of scenario synthesis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "baseline/reference.h"
@@ -60,6 +62,110 @@ TEST(Qam, GrayNeighborsDifferInOneBit) {
       int diff = 0;
       for (size_t i = 0; i < ba.size(); ++i) diff += ba[i] != bb[i];
       EXPECT_EQ(diff, 1);
+    }
+  }
+}
+
+// The slicer as it stood on std::lround: the nearest level, halves away
+// from zero, clamped to the constellation.
+std::vector<uint8_t> lround_demodulate(Qam q, const std::vector<cd>& symbols) {
+  const uint32_t bps = phy::qam_bits(q);
+  const uint32_t half = bps / 2;
+  const uint32_t levels = 1u << half;
+  const double s =
+      1.0 / std::sqrt(2.0 * (static_cast<double>(levels) * levels - 1) / 3.0);
+  std::vector<uint8_t> bits(symbols.size() * bps);
+  for (size_t i = 0; i < symbols.size(); ++i) {
+    auto slice = [&](double v) -> uint32_t {
+      const double lvl = (v / s + (levels - 1)) / 2.0;
+      const long r = std::lround(lvl);
+      const uint32_t c = static_cast<uint32_t>(
+          std::min<long>(std::max<long>(r, 0), levels - 1));
+      return c ^ (c >> 1);
+    };
+    const uint32_t gi = slice(symbols[i].real());
+    const uint32_t gq = slice(symbols[i].imag());
+    for (uint32_t b = 0; b < half; ++b) {
+      bits[i * bps + b] = (gi >> (half - 1 - b)) & 1;
+      bits[i * bps + half + b] = (gq >> (half - 1 - b)) & 1;
+    }
+  }
+  return bits;
+}
+
+TEST(Qam, SlicerMatchesLroundSlicerOnEveryOrder) {
+  // The libm-free slicer against the lround one, per axis value: random
+  // values over and beyond the constellation, +-64 ulps around every
+  // decision boundary and clamp edge, signed zeros, NaN, the infinities and
+  // values whose level reaches 2^62 and 2^63.  lround of NaN, an infinity
+  // or a level outside long is unspecified; x86-64 returns LONG_MIN, which
+  // the clamp maps to level 0, and the slicer keeps that mapping on every
+  // host.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Qam q : {Qam::qpsk, Qam::qam16, Qam::qam64, Qam::qam256}) {
+    const uint32_t levels = 1u << (phy::qam_bits(q) / 2);
+    const double top = levels - 1;
+    const double s =
+        1.0 /
+        std::sqrt(2.0 * (static_cast<double>(levels) * levels - 1) / 3.0);
+    std::vector<double> v;
+    // Level l sits at v = (2l - top) s; edges at every half level from
+    // -1/2 to top + 1/2, plus the clamp edges 0 and top and the far levels.
+    std::vector<double> edges;
+    for (double lvl = -0.5; lvl <= top + 0.5; lvl += 0.5) edges.push_back(lvl);
+    for (const double lvl : {0x1p62, 0x1p63, -0x1p62, -0x1p63}) {
+      edges.push_back(lvl);
+    }
+    for (const double lvl : edges) {
+      const double at = (2.0 * lvl - top) * s;
+      double lo = at, hi = at;
+      v.push_back(at);
+      for (int u = 0; u < 64; ++u) {
+        lo = std::nextafter(lo, -inf);
+        hi = std::nextafter(hi, inf);
+        v.push_back(lo);
+        v.push_back(hi);
+      }
+    }
+    const std::vector<double> special = {0.0,     -0.0,     nan,     -nan,
+                                         inf,     -inf,     0x1p62,  -0x1p62,
+                                         0x1p63,  -0x1p63,  0x1p64,  1e300};
+    v.insert(v.end(), special.begin(), special.end());
+    Rng rng(static_cast<uint64_t>(q) + 100);
+    for (int i = 0; i < 20000; ++i) v.push_back((rng.uniform() - 0.5) * 4.0);
+    // Every value on both axes, against a shifted partner.
+    std::vector<cd> syms;
+    for (size_t i = 0; i < v.size(); ++i) {
+      syms.emplace_back(v[i], v[(i * 7 + 3) % v.size()]);
+    }
+    std::vector<uint8_t> got;
+    phy::qam_demodulate_into(q, syms, got);
+    const auto want = lround_demodulate(q, syms);
+    const uint32_t bps = phy::qam_bits(q);
+    auto lround_defined = [&](double x) {
+      return std::abs((x / s + top) / 2.0) < 0x1p63;  // false for NaN
+    };
+    size_t compared = 0;
+    for (size_t i = 0; i < syms.size(); ++i) {
+#if !defined(__x86_64__)
+      if (!lround_defined(syms[i].real()) || !lround_defined(syms[i].imag())) {
+        continue;
+      }
+#endif
+      ++compared;
+      for (uint32_t b = 0; b < bps; ++b) {
+        ASSERT_EQ(got[i * bps + b], want[i * bps + b])
+            << "order " << static_cast<uint32_t>(q) << " symbol " << syms[i]
+            << " bit " << b;
+      }
+    }
+    EXPECT_GT(compared, 20000u);
+    // NaN, +inf and levels from 2^63 up slice to level 0 (all-zero bits).
+    for (const double x : {nan, inf, 0x1p64, 1e300}) {
+      ASSERT_FALSE(lround_defined(x));
+      const auto bits = phy::qam_demodulate(q, {cd{x, x}});
+      EXPECT_EQ(bits, std::vector<uint8_t>(bps, 0)) << x;
     }
   }
 }
