@@ -3,7 +3,7 @@
 //
 // Times the full receive chain through three host backends - the Q15
 // subsystem (src/fixed/) with its vector paths forced off, the same with
-// SIMD on (AVX2/NEON where the host supports it), and "reference" -
+// SIMD on (AVX2 where the host supports it), and "reference" -
 // interleaved in one process (bench::time_interleaved, kReps rounds), so
 // each ratio compares runs that saw the same host conditions; the table
 // states each side's median and spread.  Stage rows isolate the kernels the
@@ -63,6 +63,8 @@ int main(int argc, char** argv) {
   const uint32_t workers = std::max(1u, cli.get_u32("--workers", 1));
   const uint32_t fft_size = cli.get_u32("--fft", 1024);
   const uint32_t n_symb = cli.get_u32("--symb", 8);
+  const std::string json_path = cli.get("--json", "");
+  cli.reject_unknown();
 
   bench::banner("[host]", "fixed-point host backend wall-clock",
                 "Q15 scalar vs. SIMD vs. double reference on one slot, "
@@ -274,5 +276,5 @@ int main(int argc, char** argv) {
   auto& row_steady = rep.add_row("steady");
   row_steady.metric("allocs_per_slot", apslot, "allocs/slot", true, "exact");
   row_steady.metric("steady_slot_ms", steady_s * 1e3, "ms", false, "info");
-  return bench::emit(rep, cli) | alloc_gate;
+  return bench::emit(rep, json_path) | alloc_gate;
 }

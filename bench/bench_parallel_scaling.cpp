@@ -79,6 +79,8 @@ int main(int argc, char** argv) {
   const uint32_t n_ffts = cli.get_u32("--ffts", 32);
   const uint32_t mmm_rows = cli.get_u32("--rows", 4096);
   const uint32_t batches = cli.get_u32("--batches", 4096);
+  const std::string json_path = cli.get("--json", "");
+  cli.reject_unknown();
 
   bench::banner("[Fig. 9 host]", "intra-slot host-parallel scaling",
                 "per-stage + whole-slot speedup of the 'parallel' backend; "
@@ -246,5 +248,5 @@ int main(int argc, char** argv) {
     }
   }
   rep.add_row("parity").metric("bit_identical", 1.0, "bool", true, "higher");
-  return bench::emit(rep, cli);
+  return bench::emit(rep, json_path);
 }

@@ -12,6 +12,8 @@
 // runtime/registry.h); anything not given falls back to the kernel's
 // defaults, with gang sizes resolved against the chosen cluster.  An
 // unknown flag exits 2 with the accepted list; --help prints that list.
+// A --params key the kernel does not take, or a malformed value
+// ("m=1o"), exits 2 with the reason before the kernel runs.
 #include <cstdio>
 
 #include "bench/bench_util.h"

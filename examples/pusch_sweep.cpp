@@ -60,7 +60,8 @@ double parse_double(const char* flag, const std::string& tok) {
   return v;
 }
 
-// "a,b,c" or "lo:hi:step" (inclusive of hi, step > 0).
+// "a,b,c" or "lo:hi:step" (inclusive of hi, step > 0).  A range that
+// holds no point exits 2.
 std::vector<double> parse_snr_list(const std::string& s) {
   std::vector<double> out;
   if (s.find(':') != std::string::npos) {
@@ -71,6 +72,10 @@ std::vector<double> parse_snr_list(const std::string& s) {
         parts.size() > 2 ? parse_double("--snr", parts[2]) : 1.0;
     if (step <= 0.0) bad_token("--snr", s);
     for (double v = lo; v <= hi + 1e-9; v += step) out.push_back(v);
+    if (out.empty()) {
+      std::fprintf(stderr, "--snr range '%s' holds no point\n", s.c_str());
+      std::exit(2);
+    }
     return out;
   }
   for (const auto& tok : split(s, ',')) {

@@ -11,15 +11,20 @@
 // double-precision "reference" backend, showing the golden cross-check.
 //
 //   ./examples/quickstart
+//
+// It takes no flags: any flag exits 2, and --help prints that it accepts
+// none.
 #include <cstdio>
 
 #include "baseline/reference.h"
+#include "common/cli.h"
 #include "runtime/backend.h"
 #include "runtime/presets.h"
 #include "runtime/registry.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pp;
+  common::Cli(argc, argv).reject_unknown();
 
   const auto cfg = arch::Cluster_config::mempool();
   std::printf("cluster: %s (%u cores, %u groups x %u tiles x %u cores, "

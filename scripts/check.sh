@@ -180,14 +180,39 @@ for bin in examples/pusch_serve examples/pusch_sweep bench/bench_serve_latency \
     exit 1
   fi
 done
-# kernel_explorer reads none of the serving flags: a mistyped --seed and a
-# made-up flag exit 2 before any kernel runs.
-for bad in "--sed 3" "--bogus-flag 7"; do
+# A value flag given last, with no value after it, exits 2 rather than
+# running on the flag's default.
+status=0
+"$BUILD_DIR"/examples/pusch_serve --workers 2 --slots > /dev/null 2>&1 \
+    || status=$?
+if [[ "$status" -ne 2 ]]; then
+  echo "pusch_serve exited $status (want 2) for a trailing --slots"
+  exit 1
+fi
+# A --snr range that holds no point exits 2 instead of sweeping 0 slots.
+expect_exit2 examples/pusch_sweep "--snr 30:10:5"
+# kernel_explorer reads none of the serving flags: a mistyped --seed, a
+# made-up flag, a --params key the kernel does not take and a malformed
+# --params value exit 2 before any kernel runs.
+for bad in "--params m=16,k=4,p=4 --sed 3" \
+           "--params m=16,k=4,p=4 --bogus-flag 7" \
+           "--params bogus=3" "--params m=1o"; do
   status=0
   "$BUILD_DIR"/examples/kernel_explorer --arch minipool --kernel mmm \
-      --params m=16,k=4,p=4 $bad > /dev/null 2>&1 || status=$?
+      $bad > /dev/null 2>&1 || status=$?
   if [[ "$status" -ne 2 ]]; then
     echo "kernel_explorer exited $status (want 2) for: $bad"
+    exit 1
+  fi
+done
+# quickstart and the two host-timing benches read no --slots, so they are
+# called directly: a made-up flag exits 2 before any work.
+for bin in examples/quickstart bench/bench_parallel_scaling \
+           bench/bench_fixed_host; do
+  status=0
+  "$BUILD_DIR"/$bin --bogus 3 > /dev/null 2>&1 || status=$?
+  if [[ "$status" -ne 2 ]]; then
+    echo "$bin exited $status (want 2) for: --bogus 3"
     exit 1
   fi
 done
@@ -199,7 +224,9 @@ for entry in "examples/pusch_serve --backend" "examples/pusch_sweep --backend" \
              "bench/bench_scenario_mix --backend" \
              "bench/bench_capacity --backend" \
              "bench/bench_throughput_sweep --backend" \
-             "examples/kernel_explorer --kernel"; do
+             "examples/kernel_explorer --kernel" \
+             "bench/bench_parallel_scaling --workers" \
+             "bench/bench_fixed_host --workers"; do
   bin="${entry% *}"
   flag="${entry#* }"
   help_out="$("$BUILD_DIR"/$bin --help)" || {
@@ -211,6 +238,15 @@ for entry in "examples/pusch_serve --backend" "examples/pusch_sweep --backend" \
     exit 1
   fi
 done
+# quickstart takes no flag, so its list holds --help alone.
+help_out="$("$BUILD_DIR"/examples/quickstart --help)" || {
+  echo "examples/quickstart --help exited non-zero"
+  exit 1
+}
+if [[ "$help_out" != "accepted flags: --help" ]]; then
+  echo "examples/quickstart --help did not print its accepted flags"
+  exit 1
+fi
 # pusch_uplink_e2e rejects --slots as an unknown flag, so it is called
 # directly: an unsupported QAM order, a Cholesky batch that does not
 # divide the slot's 4 data symbols, a UE count that is not a number or

@@ -23,33 +23,25 @@ class Cli {
     for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
   }
 
-  // Value of "--name value", or fallback if absent.
+  // Value of "--name value", or fallback if absent.  A value flag given
+  // last, with no value after it, prints a readable error and exits 2.
   std::string get(const std::string& name, const std::string& fallback) const {
-    note(name);
-    for (size_t i = 0; i + 1 < args_.size(); ++i) {
-      if (args_[i] == name) return args_[i + 1];
-    }
-    return fallback;
+    const std::string* v = value_of(name);
+    return v ? *v : fallback;
   }
 
   // Value of "--name" as a validated non-negative 32-bit integer.
   // Malformed or negative values print a readable error and exit 2.
   uint32_t get_u32(const std::string& name, uint32_t fallback) const {
-    note(name);
-    for (size_t i = 0; i + 1 < args_.size(); ++i) {
-      if (args_[i] == name) return parse_u32_or_die(name, args_[i + 1]);
-    }
-    return fallback;
+    const std::string* v = value_of(name);
+    return v ? parse_u32_or_die(name, *v) : fallback;
   }
 
   // Value of "--name" as a validated double; malformed values print a
   // readable error and exit 2.  Range checks stay at the call site.
   double get_double(const std::string& name, double fallback) const {
-    note(name);
-    for (size_t i = 0; i + 1 < args_.size(); ++i) {
-      if (args_[i] == name) return parse_double_or_die(name, args_[i + 1]);
-    }
-    return fallback;
+    const std::string* v = value_of(name);
+    return v ? parse_double_or_die(name, *v) : fallback;
   }
 
   // Value of "--name" as a comma-separated list of doubles ("0.5,1,2");
@@ -138,6 +130,21 @@ class Cli {
   }
 
  private:
+  // The argument after "--name", or nullptr if the flag is absent; the
+  // first occurrence wins.  Exits 2 if the flag is the last argument.
+  const std::string* value_of(const std::string& name) const {
+    note(name);
+    for (size_t i = 0; i < args_.size(); ++i) {
+      if (args_[i] != name) continue;
+      if (i + 1 == args_.size()) {
+        std::fprintf(stderr, "missing value for %s\n", name.c_str());
+        std::exit(2);
+      }
+      return &args_[i + 1];
+    }
+    return nullptr;
+  }
+
   bool is_read(const std::string& name) const {
     return std::find(read_.begin(), read_.end(), name) != read_.end();
   }

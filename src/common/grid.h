@@ -73,20 +73,6 @@ class Ws_grid {
   size_t cols_ = 0;
 };
 
-// Grow-only nested rows, for the call paths that structurally require
-// std::vector<T> rows (ref::fft's in-place helpers, the fixed kernels'
-// vector-of-vector pilot tables).  The outer vector never shrinks -
-// shrinking a vector<vector<T>> destroys the inner vectors and frees
-// their capacity, which is exactly the churn a workspace exists to avoid
-// - so when `rows` drops, the extra trailing rows simply go unused
-// (consumers take explicit row counts).  Each of the first `rows` inner
-// vectors is sized to cols via ws_grow.
-template <typename T>
-void ws_shape_rows(std::vector<std::vector<T>>& v, size_t rows, size_t cols) {
-  if (v.size() < rows) v.resize(rows);
-  for (size_t r = 0; r < rows; ++r) ws_grow(v[r], cols);
-}
-
 // Footprint of a nested buffer (outer capacity + every inner capacity) -
 // the unit the growth-then-stable tests pin.
 template <typename T>

@@ -5,8 +5,6 @@
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #define PP_FIXED_X86 1
-#elif defined(__ARM_NEON)
-#include <arm_neon.h>
 #endif
 
 namespace pp::fixed {
@@ -642,43 +640,11 @@ uint32_t lmmse_solve_prefix(const cq15* h, const cq15* l, const cq15* y,
   return 4 * groups;
 }
 
-#elif defined(__ARM_NEON)
-
-bool simd_available() { return true; }
-const char* simd_isa() { return "neon"; }
-
-uint32_t cmul_double_prefix(const cq15* y, cq15 x, cq15* out, uint32_t n) {
-  // The one cmul wrap case needs both operands at {-0x8000, -0x8000}; x is
-  // uniform here, so one scalar check rules it out for the whole loop.
-  if (x.re == common::q15_min && x.im == common::q15_min) return 0;
-  const uint32_t n4 = n & ~3u;
-  const int32x4_t half = vdupq_n_s32(1 << 14);
-  for (uint32_t i = 0; i < n4; i += 4) {
-    const int16x4x2_t yv =
-        vld2_s16(reinterpret_cast<const int16_t*>(y + i));  // re / im lanes
-    int32x4_t rr = vmull_n_s16(yv.val[0], x.re);
-    rr = vmlsl_n_s16(rr, yv.val[1], x.im);
-    int32x4_t ii = vmull_n_s16(yv.val[0], x.im);
-    ii = vmlal_n_s16(ii, yv.val[1], x.re);
-    rr = vshrq_n_s32(vaddq_s32(rr, half), 15);
-    ii = vshrq_n_s32(vaddq_s32(ii, half), 15);
-    int16x4x2_t t;
-    t.val[0] = vqmovn_s32(rr);  // saturating narrow == sat16
-    t.val[1] = vqmovn_s32(ii);
-    t.val[0] = vqadd_s16(t.val[0], t.val[0]);  // doubling, saturating
-    t.val[1] = vqadd_s16(t.val[1], t.val[1]);
-    vst2_s16(reinterpret_cast<int16_t*>(out + i), t);
-  }
-  return n4;
-}
-
-uint32_t butterfly_prefix(cq15*, uint32_t, const cq15*, const cq15*,
-                          const cq15*, uint32_t) {
-  return 0;  // scalar butterflies on NEON hosts
-}
-
 #else
 
+// The vector paths are x86-only.  Elsewhere every entry point processes 0
+// elements and the callers' scalar loops do all the work, with the same
+// bits.
 bool simd_available() { return false; }
 const char* simd_isa() { return "scalar"; }
 
@@ -689,11 +655,6 @@ uint32_t butterfly_prefix(cq15*, uint32_t, const cq15*, const cq15*,
   return 0;
 }
 
-#endif
-
-#if !defined(PP_FIXED_X86)
-// The short-distance FFT stages and the double-lane kernels are x86-only;
-// scalar elsewhere.
 uint32_t butterfly4_prefix(cq15*, const cq15*, const cq15*, const cq15*,
                            uint32_t) {
   return 0;
@@ -723,6 +684,7 @@ uint32_t lmmse_solve_prefix(const cq15*, const cq15*, const cq15*, cq15*,
                             uint32_t, uint32_t, uint32_t) {
   return 0;
 }
+
 #endif
 
 }  // namespace pp::fixed

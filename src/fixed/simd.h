@@ -4,7 +4,7 @@
 // implementation detail, never a numerics change (pinned by
 // tests/test_backend_fixed.cpp scalar/SIMD parity).  The mapping:
 //
-//   add_q15/sub_q15      saturating 16-bit adds (vpaddsw / vqaddq_s16)
+//   add_q15/sub_q15      saturating 16-bit adds (vpaddsw)
 //   cquarter             per-lane arithmetic shift (vpsraw)
 //   cmul                 widened 32-bit products, +2^14, >>15, saturating
 //                        pack (the one wrap case - both operands
@@ -22,9 +22,8 @@
 //
 // x86 code is compiled with per-function target("avx2"[,"fma"]) attributes
 // and gated at run time by __builtin_cpu_supports, so the build needs no
-// -mavx2 flag and the binary still runs on pre-AVX2 hosts.  On AArch64 the
-// elementwise CHE op uses NEON (always available); the butterflies, the
-// quantizer and the double-lane kernels fall back to scalar there.
+// -mavx2 flag and the binary still runs on pre-AVX2 hosts.  Other ISAs have
+// no vector path: every entry point below processes 0 elements there.
 #ifndef PUSCHPOOL_FIXED_SIMD_H
 #define PUSCHPOOL_FIXED_SIMD_H
 
@@ -37,13 +36,13 @@ namespace pp::fixed {
 
 using common::cq15;
 
-// True when a vector path exists on this machine (AVX2 detected at run time,
-// or NEON compiled in).  When false, the SIMD entry points below process 0
-// elements and the callers' scalar tails do all the work.
+// True when a vector path exists on this machine (AVX2 detected at run
+// time).  When false, the SIMD entry points below process 0 elements and
+// the callers' scalar tails do all the work.
 bool simd_available();
 
-// "avx2", "neon" or "scalar" - what simd_available() resolved to (bench and
-// banner reporting).
+// "avx2" or "scalar" - what simd_available() resolved to (bench and banner
+// reporting).
 const char* simd_isa();
 
 // out[i] = cadd(t, t) with t = cmul(y[i], x): the per-(sub-carrier, UE)

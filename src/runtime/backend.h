@@ -6,7 +6,8 @@
 //
 //   Sim_backend        the cycle-approximate fixed-point kernels on the
 //                      simulated many-core cluster (pipeline.cluster());
-//                      reports per-stage cycles and instruction counts
+//                      the only backend that reports per-stage rows:
+//                      cycles, instructions, stalls and kernel launches
 //   Parallel_backend   the double-precision host models (baseline/) split
 //                      across a worker pool with the paper's per-kernel
 //                      decomposition; no cycles, runs in milliseconds.
@@ -29,7 +30,7 @@
 //
 // All emit the same Slot_result, so a single scenario can be scored on the
 // simulator and on any host path through the same Pipeline::execute()
-// call.
+// call; the host backends leave its per-stage rows empty.
 #ifndef PUSCHPOOL_RUNTIME_BACKEND_H
 #define PUSCHPOOL_RUNTIME_BACKEND_H
 
@@ -131,8 +132,12 @@ class Q15_backend : public Backend {
   virtual void mimo(const Q15_chain& c,
                     const common::Ws_grid<common::cq15>& beams, uint32_t s0,
                     double sigma2_hat) = 0;
-  // After the last stage of a slot: this backend's rows of out.stages.
-  virtual void close_slot(const Q15_chain& c, Slot_result& out) = 0;
+  // After the last stage of a slot: this executor's rows of out.stages.
+  // A host executor launches no kernels and leaves none, cleared so that
+  // a recycled result equals a fresh one.
+  virtual void close_slot(const Q15_chain&, Slot_result& out) {
+    out.stages.clear();
+  }
 
  private:
   Q15_ws ws_;
@@ -160,13 +165,6 @@ class Sim_backend final : public Q15_backend {
   struct Slot;  // the slot's machine, kernels and stage rows
   std::unique_ptr<Slot> slot_;
 };
-
-// Fills `out.stages` with the per-stage launch counts the sim backend would
-// perform for this pipeline and scenario (FFT gang batching and Cholesky
-// symbol batching included).  Shared by the two host backends so their
-// stage tables line up with the simulator's row by row.
-void mirror_sim_stage_runs(const Pipeline& p, const phy::Uplink_config& cfg,
-                           Slot_result& out);
 
 // "sim", "reference", "parallel" or "fixed"; aborts on anything else.
 // `intra` is the intra-slot worker count of the "parallel" and "fixed"

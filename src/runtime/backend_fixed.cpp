@@ -172,10 +172,6 @@ void Fixed_backend::mimo(const Q15_chain& c,
   });
 }
 
-void Fixed_backend::close_slot(const Q15_chain& c, Slot_result& out) {
-  mirror_sim_stage_runs(c.pipeline, c.cfg, out);
-}
-
 size_t Fixed_backend::workspace_bytes() const {
   size_t b = Q15_backend::workspace_bytes() + freq_.footprint_bytes() +
              (h_q_.capacity() + chol_.capacity()) * sizeof(cq15) +

@@ -67,7 +67,6 @@ class Fixed_backend final : public Q15_backend {
   double ne(const Q15_chain& c) override;
   void mimo(const Q15_chain& c, const common::Ws_grid<common::cq15>& beams,
             uint32_t s0, double sigma2_hat) override;
-  void close_slot(const Q15_chain& c, Slot_result& out) override;
 
   common::Thread_pool pool_;
   bool simd_;

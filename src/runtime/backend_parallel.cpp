@@ -143,7 +143,7 @@ void Parallel_backend::run_front_into(const Pipeline&,
   }
 }
 
-void Parallel_backend::run_back_into(const Pipeline& p,
+void Parallel_backend::run_back_into(const Pipeline&,
                                      const phy::Uplink_scenario& sc,
                                      const Slot_front& front,
                                      Slot_result& out) {
@@ -168,7 +168,7 @@ void Parallel_backend::run_back_into(const Pipeline& p,
   out.evm = phy::evm_from_terms(evm_terms_);
   out.ber = phy::payload_ber(sc, out.bits);
   out.sigma2_hat = sigma2_hat;
-  mirror_sim_stage_runs(p, cfg, out);
+  out.stages.clear();  // no kernel launches to report
 }
 
 size_t Parallel_backend::workspace_bytes() const {

@@ -62,8 +62,9 @@ class Params {
 
   bool has(std::string_view key) const { return find(key) != nullptr; }
 
-  // Numeric/boolean reads are strict: a malformed value ("n=1o24") aborts
-  // with a message rather than silently parsing to a different number.
+  // Numeric/boolean reads are strict: a malformed value ("n=1o24") prints
+  // a message and exits 2, like a malformed command-line flag, rather than
+  // silently parsing to a different number.
   int64_t geti(std::string_view key, int64_t fallback) const {
     const std::string* v = find(key);
     if (!v) return fallback;
@@ -127,7 +128,7 @@ class Params {
     std::fprintf(stderr, "parameter '%.*s=%s' is not %s\n",
                  static_cast<int>(key.size()), key.data(), value.c_str(),
                  want);
-    std::abort();
+    std::exit(2);
   }
 
   Params& put(std::string_view key, std::string v) {

@@ -227,53 +227,6 @@ uint32_t resolve_fft_gangs(const arch::Cluster_config& cluster,
   return std::max(1u, std::min(max_inst, inst));
 }
 
-void mirror_sim_stage_runs(const Pipeline& p, const phy::Uplink_config& cfg,
-                           Slot_result& out) {
-  const uint32_t n_data_symb = cfg.n_symb - cfg.n_pilot_symb;
-  out.stages.resize(p.stages().size());
-  for (size_t i = 0; i < p.stages().size(); ++i) {
-    const auto& spec = p.stages()[i];
-    auto& st = out.stages[i];
-    st.name = spec.name;
-    // Slot_results are reused across slots by the workspace-checkout
-    // serving loop: clear the counters a host backend never writes so a
-    // recycled result matches a fresh one bit for bit.
-    st.cycles = 0;
-    st.instrs = 0;
-    st.stall.fill(0);
-    switch (spec.role) {
-      case Stage_role::fft: {
-        const uint32_t inst = resolve_fft_gangs(p.cluster(), cfg.fft_size,
-                                                spec.run.params, cfg.n_rx);
-        st.runs = cfg.n_symb * ((cfg.n_rx + inst - 1) / inst);
-        break;
-      }
-      case Stage_role::beamform:
-        st.runs = cfg.n_symb;
-        break;
-      case Stage_role::che:
-      case Stage_role::ne:
-        st.runs = 1;
-        break;
-      case Stage_role::gram:
-        st.runs = n_data_symb;
-        break;
-      case Stage_role::mimo_solve: {
-        // One decomposition + one solve launch per symbol batch, under the
-        // same divisibility rule the sim backend enforces.
-        const uint32_t batch = spec.run.params.getu("symb_batch", 1);
-        PP_CHECK(batch >= 1 && n_data_symb % batch == 0,
-                 "chol symb_batch must divide the data-symbol count");
-        st.runs = 2 * (n_data_symb / batch);
-        break;
-      }
-      case Stage_role::custom:
-        st.runs = 0;
-        break;
-    }
-  }
-}
-
 std::unique_ptr<Backend> make_backend(std::string_view name, uint32_t intra) {
   if (name == "sim") return std::make_unique<Sim_backend>();
   if (name == "reference") {

@@ -67,8 +67,8 @@ Params kernel_params(const Exec_spec& spec);
 // explicit "inst" param wins, 0/absent fills the cluster - n_cores /
 // (fft_size / 16) concurrent FFTs, the paper's gang of N/16 cores each;
 // the result is clamped to [1, max_inst].  The one gang rule of the
-// fft.parallel kernel, the use-case preset and the functional backends, so
-// their launch counts agree.
+// fft.parallel kernel, the use-case preset and the sim backend, so their
+// launch counts agree.
 uint32_t resolve_fft_gangs(const arch::Cluster_config& cluster,
                            uint32_t fft_size, const Params& params,
                            uint32_t max_inst = UINT32_MAX);
@@ -124,8 +124,10 @@ struct Rollup_result {
 // ---- functional slot result ----------------------------------------------
 
 struct Slot_result {
-  // Aggregated per-stage reports (cycles summed over the per-symbol runs;
-  // zero on backends that are not cycle-accurate).  Counters are 64-bit
+  // Per-stage reports of the simulated cluster, one row per pipeline stage
+  // with cycles, instructions and stalls summed over the stage's kernel
+  // launches (`runs`).  Only the sim backend launches kernels; the host
+  // backends leave `stages` empty.  Counters are 64-bit
   // throughout: a sustained TeraPool serve trace accumulates > 4e9 WFI
   // stall cycles per stage well before a slot count worth benchmarking,
   // so 32-bit accumulators would silently wrap

@@ -165,15 +165,13 @@ Pipeline uplink_pipeline(const arch::Cluster_config& cluster,
   // stage's input: time samples into the FFT (8), the frequency grid into
   // the MMM and the beam grid into CHE, NE and the matched filter (4).  The
   // chol/solve stage inherits the gram stage's scale through the rhs.
-  Stage_spec fft = stage("OFDM FFT", Stage_role::fft, "fft.parallel", 8.0);
-  if (opt.fft_instances) fft.run.params.set("inst", opt.fft_instances);
   Stage_spec solve =
       stage("MIMO chol+solve", Stage_role::mimo_solve, "chol.batch", 1.0);
   if (opt.chol_symb_batch > 1) {
     solve.run.params.set("symb_batch", opt.chol_symb_batch);
   }
   Pipeline p("pusch-uplink", cluster);
-  p.add(std::move(fft))
+  p.add(stage("OFDM FFT", Stage_role::fft, "fft.parallel", 8.0))
       .add(stage("BF MMM", Stage_role::beamform, "mmm", 4.0))
       .add(stage("CHE", Stage_role::che, "che", 4.0))
       .add(stage("NE", Stage_role::ne, "ne", 4.0))

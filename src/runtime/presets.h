@@ -37,7 +37,6 @@ Rollup_result run_use_case(const Use_case_options& opt);
 
 // Configuration knobs of the functional uplink chain.
 struct Uplink_options {
-  uint32_t fft_instances = 0;   // concurrent FFT gangs; 0 = fill the cluster
   uint32_t chol_symb_batch = 1;  // data symbols per Cholesky/solve launch
 };
 

@@ -59,7 +59,7 @@ std::unique_ptr<Kernel> Registry::make(const std::string& name,
                    name.c_str(), key.c_str());
       for (const auto& k : e.keys) std::fprintf(stderr, " %s", k.c_str());
       std::fprintf(stderr, "\n");
-      std::abort();
+      std::exit(2);
     }
     return e.factory(m, alloc, p);
   }

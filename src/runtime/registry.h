@@ -43,9 +43,9 @@ class Registry {
   // The process-wide registry, with builtin kernels already registered.
   static Registry& instance();
 
-  // `keys` lists every parameter the kernel accepts; make() rejects any
-  // Params key outside it, so CLI typos fail loudly instead of silently
-  // measuring a default configuration.
+  // `keys` lists every parameter the kernel accepts; make() prints them and
+  // exits 2 on any Params key outside it, so CLI typos fail loudly instead
+  // of silently measuring a default configuration.
   void add(std::string name, std::string summary,
            std::vector<std::string> keys, Kernel_factory factory);
 

@@ -104,15 +104,6 @@ class alignas(64) Core {
   // Scalar divide on the non-pipelined external unit.
   uint64_t div(uint64_t dep_a = 0, uint64_t dep_b = 0, Sl sl = Sl::current());
 
-  // Explicit RAW wait without issuing an instruction (modelled as part of the
-  // consuming instruction in hardware; use only when no consumer op exists).
-  void wait_for(uint64_t dep) {
-    if (dep > t) {
-      stall(Stall::raw, dep - t);
-      t = dep;
-    }
-  }
-
   // ---- memory operations (suspension points) ----
 
   struct Mem_awaiter {

@@ -65,12 +65,7 @@ void expect_slot_bits_equal(const runtime::Slot_result& sim,
   EXPECT_EQ(sim.evm, fix.evm) << what;
   EXPECT_EQ(sim.ber, fix.ber) << what;
   EXPECT_EQ(sim.sigma2_hat, fix.sigma2_hat) << what;
-  ASSERT_EQ(sim.stages.size(), fix.stages.size()) << what;
-  for (size_t s = 0; s < sim.stages.size(); ++s) {
-    EXPECT_EQ(sim.stages[s].name, fix.stages[s].name) << what;
-    EXPECT_EQ(sim.stages[s].runs, fix.stages[s].runs) << what;
-    EXPECT_EQ(fix.stages[s].cycles, 0u) << "host backends report no cycles";
-  }
+  EXPECT_TRUE(fix.stages.empty()) << what << ": only sim reports stage rows";
 }
 
 TEST(FixedBackend, BitIdenticalToSimAcrossScenarioGridAndWorkers) {
@@ -139,10 +134,9 @@ TEST(FixedBackend, CooperativeFftPathBitIdenticalToSim) {
 }
 
 TEST(FixedBackend, BatchedMimoAndFftGangsBitIdenticalToSim) {
-  // Cholesky symbol batching and forced FFT gang counts change how sim
-  // groups its launches, never a value: the fixed backend's symbol-group
-  // loop must reproduce every batch size, whole-slot and split, at one and
-  // at several intra-slot workers.
+  // Cholesky symbol batching changes how sim groups its launches, never a
+  // value: the fixed backend's symbol-group loop must reproduce every batch
+  // size, whole-slot and split, at one and at several intra-slot workers.
   phy::Uplink_config cfg;
   cfg.n_sc = 64;
   cfg.fft_size = 64;
@@ -156,28 +150,24 @@ TEST(FixedBackend, BatchedMimoAndFftGangsBitIdenticalToSim) {
   const auto cluster = arch::Cluster_config::minipool();
 
   for (const uint32_t batch : {1u, 2u, 3u}) {
-    for (const uint32_t gangs : {0u, 1u}) {
-      runtime::Uplink_options opt;
-      opt.chol_symb_batch = batch;
-      opt.fft_instances = gangs;
-      const auto pipeline = runtime::uplink_pipeline(cluster, opt);
-      const auto sim = pipeline.execute(sc, *runtime::make_backend("sim"));
-      ASSERT_EQ(sim.stages.size(), 6u);
-      EXPECT_EQ(sim.stages[5].runs, 2u * 6u / batch) << "batch " << batch;
-      for (const uint32_t intra : {1u, 3u}) {
-        const std::string what = "batch " + std::to_string(batch) +
-                                 " gangs " + std::to_string(gangs) +
-                                 " intra " + std::to_string(intra);
-        runtime::Fixed_backend whole(intra);
-        expect_slot_bits_equal(sim, pipeline.execute(sc, whole),
-                               what + " whole");
-        runtime::Fixed_backend split(intra);
-        runtime::Slot_front front;
-        runtime::Slot_result res;
-        split.run_front_into(pipeline, sc, front);
-        split.run_back_into(pipeline, sc, front, res);
-        expect_slot_bits_equal(sim, res, what + " split");
-      }
+    runtime::Uplink_options opt;
+    opt.chol_symb_batch = batch;
+    const auto pipeline = runtime::uplink_pipeline(cluster, opt);
+    const auto sim = pipeline.execute(sc, *runtime::make_backend("sim"));
+    ASSERT_EQ(sim.stages.size(), 6u);
+    EXPECT_EQ(sim.stages[5].runs, 2u * 6u / batch) << "batch " << batch;
+    for (const uint32_t intra : {1u, 3u}) {
+      const std::string what = "batch " + std::to_string(batch) + " intra " +
+                               std::to_string(intra);
+      runtime::Fixed_backend whole(intra);
+      expect_slot_bits_equal(sim, pipeline.execute(sc, whole),
+                             what + " whole");
+      runtime::Fixed_backend split(intra);
+      runtime::Slot_front front;
+      runtime::Slot_result res;
+      split.run_front_into(pipeline, sc, front);
+      split.run_back_into(pipeline, sc, front, res);
+      expect_slot_bits_equal(sim, res, what + " split");
     }
   }
 }

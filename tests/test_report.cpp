@@ -165,6 +165,22 @@ TEST(Report, PlacementFromCliValidatesAgainstTheRegistry) {
               "registered: round-robin load-aware");
 }
 
+TEST(Report, ValueFlagGivenLastExitsInsteadOfFallingBack) {
+  // `--workers 2 --slots` must not serve the default slot count: every
+  // value getter exits 2 on a flag with nothing after it.
+  const char* last[] = {"prog", "--workers", "2", "--slots"};
+  const common::Cli cli(4, const_cast<char**>(last));
+  EXPECT_EQ(cli.get_u32("--workers", 1), 2u);
+  EXPECT_EXIT(slots_from_cli(cli, 64), ::testing::ExitedWithCode(2),
+              "missing value for --slots");
+  EXPECT_EXIT(cli.get("--slots", "64"), ::testing::ExitedWithCode(2),
+              "missing value for --slots");
+  EXPECT_EXIT(cli.get_double("--slots", 64.0), ::testing::ExitedWithCode(2),
+              "missing value for --slots");
+  EXPECT_EXIT(cli.get_u32_list("--slots", "64"), ::testing::ExitedWithCode(2),
+              "missing value for --slots");
+}
+
 TEST(Report, OverloadFromCliValidatesAgainstTheRegistry) {
   const char* good[] = {"prog", "--overload", "degrade"};
   EXPECT_EQ(overload_from_cli(common::Cli(3, const_cast<char**>(good))),

@@ -6,7 +6,7 @@
 // values into the next (the non-interference rule - every buffer read back
 // is fully overwritten first).  These tests pin:
 //
-//   - the ws_grow / Ws_grid / ws_shape_rows growth primitives themselves
+//   - the ws_grow / Ws_grid growth primitives themselves
 //   - quantize_into/dequantize_into bit-identity with their element-wise
 //     definitions, and Q15_rescale's integer hand-off == the double
 //     round-trip
@@ -86,21 +86,6 @@ TEST(WorkspaceGrow, GridReshapeKeepsFootprint) {
   // Growth is monotone.
   g.shape(16, 16);
   EXPECT_GT(g.footprint_bytes(), high_water);
-}
-
-TEST(WorkspaceGrow, NestedRowsOuterNeverShrinks) {
-  std::vector<std::vector<int>> rows;
-  common::ws_shape_rows(rows, 6, 32);
-  EXPECT_EQ(rows.size(), 6u);
-  for (const auto& r : rows) EXPECT_EQ(r.size(), 32u);
-  const size_t high_water = common::ws_rows_footprint(rows);
-  // Shrinking the row count keeps the outer vector (and the trailing inner
-  // vectors' capacity) alive; consumers take explicit row counts.
-  common::ws_shape_rows(rows, 2, 32);
-  EXPECT_EQ(rows.size(), 6u);
-  EXPECT_EQ(common::ws_rows_footprint(rows), high_water);
-  common::ws_shape_rows(rows, 6, 32);
-  EXPECT_EQ(common::ws_rows_footprint(rows), high_water);
 }
 
 TEST(WorkspaceGrow, AllocCounterDisabledReportsZero) {
